@@ -19,95 +19,98 @@
 //! (Theorem 3, adjusted for the constructible-network substitution recorded
 //! in `DESIGN.md`).
 //!
-//! Comparator storage is hybrid, chosen per section of the sandwich: the
-//! small inner sections (where virtually every traversal happens, because
-//! temporary names are polynomial in the contention) are compiled into flat
-//! wire maps with lock-free [`ComparatorSlab`] storage, while the huge outer
-//! sections — reachable only through astronomically unlikely temporary names
-//! — keep sharded sparse lazy storage.
+//! Every section of the sandwich stores its comparators in one lazily paged
+//! [`ComparatorSlab`]; sections differ only in how a process *looks up* the
+//! comparator it meets. The small inner sections (where virtually every
+//! traversal happens, because temporary names are polynomial in the
+//! contention) are compiled into flat wire maps and key their slab by the
+//! dense comparator slot. The huge outer sections — tens of thousands to
+//! billions of wires — ask the analytic schedule for the comparator and key
+//! their slab by `local_top × depth + stage`; their pages exist only where
+//! some process has played. Each comparator is a
+//! [`TwoProcessTas`] whose rounds past the second are grown on demand, so a
+//! first-touched comparator costs a few hundred bytes, not the worst case.
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
-use crate::renaming_network::traverse_compiled;
+use crate::renaming_network::{traverse, traverse_compiled};
 use crate::temp_name::{TempName, TempNameReport};
 use crate::traits::Renaming;
-use parking_lot::RwLock;
 use shmem::process::ProcessCtx;
 use sortnet::adaptive::{AdaptiveNetwork, Section};
 use sortnet::compiled::CompiledSchedule;
 use sortnet::family::{NetworkFamily, SortingFamily};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use tas::two_process::TwoProcessTas;
-use tas::{Side, TwoPartyTas};
+use tas::TwoPartyTas;
 
-/// Upper bound on `width × depth` for a section to be compiled into a flat
-/// wire map + comparator slab. Sections above the bound (the outer levels of
-/// the §6.1 construction, with tens of thousands to billions of channels)
-/// keep sparse lazy storage — processes reach them only through
-/// astronomically unlikely temporary names, so pre-sizing would waste memory
-/// for cells that are never touched.
+/// Upper bound on `width × depth` for a section to be compiled into flat
+/// wire maps. Sections above the bound (the outer levels of the §6.1
+/// construction, with tens of thousands to billions of channels) are looked
+/// up through the analytic schedule instead — processes reach them only
+/// through unlikely temporary names, so pre-computing their wire maps would
+/// waste memory on wires no process visits.
 const COMPILED_CELL_LIMIT: usize = 1 << 20;
 
-/// Shard count of the sparse fallback store (power of two). Sharding keeps
-/// the rare outer-section plays from serializing behind a single lock.
-const SPARSE_SHARDS: usize = 16;
-
-/// One shard of the sparse fallback store: lazily allocated comparator
-/// objects keyed by `(stage, global top channel)`.
-type SparseShard<T> = RwLock<HashMap<(usize, usize), Arc<T>>>;
+/// How a section finds the comparator a process meets.
+enum Lookup {
+    /// Small section: schedule lowered to flat arrays; the slab is keyed by
+    /// the dense comparator slot.
+    Compiled(CompiledSchedule),
+    /// Huge section: the comparator comes from the analytic schedule; the
+    /// slab is keyed by `local_top × depth + stage`.
+    Analytic,
+}
 
 /// Comparator storage of one section of the adaptive network.
-enum SectionStore<T> {
-    /// Small section: schedule lowered to flat arrays, test-and-sets in a
-    /// lock-free slab indexed by the dense comparator slot.
-    Compiled {
-        /// The section's schedule in compiled (local-wire) form.
-        schedule: CompiledSchedule,
-        /// One lazily created test-and-set per comparator.
-        slab: ComparatorSlab<T>,
-    },
-    /// Huge analytic section: lazily allocated comparator objects keyed by
-    /// `(stage, global top channel)`, sharded to spread lock contention.
-    Sparse { shards: Box<[SparseShard<T>]> },
+struct SectionStore<T> {
+    lookup: Lookup,
+    /// One lazily created test-and-set per comparator.
+    slab: ComparatorSlab<T>,
 }
 
 impl<T: TwoPartyTas + Default> SectionStore<T> {
     fn for_section(section: &Section) -> Self {
-        let cells = section.width().checked_mul(section.schedule.depth());
-        match cells {
-            Some(cells) if cells <= COMPILED_CELL_LIMIT => {
-                let schedule = CompiledSchedule::compile(section.schedule.as_ref());
-                let slab = ComparatorSlab::new(schedule.size());
-                SectionStore::Compiled { schedule, slab }
+        let depth = section.schedule.depth();
+        let cells = section
+            .width()
+            .checked_mul(depth)
+            .expect("a section's width × depth fits in usize");
+        if cells <= COMPILED_CELL_LIMIT {
+            let schedule = CompiledSchedule::compile(section.schedule.as_ref());
+            let slab = ComparatorSlab::new(schedule.size());
+            SectionStore {
+                lookup: Lookup::Compiled(schedule),
+                slab,
             }
-            _ => SectionStore::Sparse {
-                shards: (0..SPARSE_SHARDS)
-                    .map(|_| RwLock::new(HashMap::new()))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            },
+        } else {
+            SectionStore {
+                lookup: Lookup::Analytic,
+                slab: ComparatorSlab::new(cells),
+            }
         }
     }
 
-    fn sparse_game(shards: &[SparseShard<T>], stage: usize, top: usize) -> Arc<T> {
-        let shard = &shards[(stage.wrapping_mul(31).wrapping_add(top)) & (SPARSE_SHARDS - 1)];
-        if let Some(game) = shard.read().get(&(stage, top)) {
-            return Arc::clone(game);
-        }
-        let mut games = shard.write();
-        Arc::clone(
-            games
-                .entry((stage, top))
-                .or_insert_with(|| Arc::new(T::default())),
-        )
-    }
-
-    fn allocated(&self) -> usize {
-        match self {
-            SectionStore::Compiled { slab, .. } => slab.allocated(),
-            SectionStore::Sparse { shards } => shards.iter().map(|s| s.read().len()).sum(),
+    /// Plays one process through the section from local wire `wire`,
+    /// returning the exit wire with the comparators played and won.
+    fn traverse(
+        &self,
+        section: &Section,
+        ctx: &mut ProcessCtx,
+        wire: usize,
+    ) -> (usize, usize, usize) {
+        match &self.lookup {
+            // Hot path: O(1) wire-map lookups over local wires.
+            Lookup::Compiled(schedule) => traverse_compiled(schedule, &self.slab, ctx, wire),
+            Lookup::Analytic => {
+                let schedule = section.schedule.as_ref();
+                let depth = schedule.depth();
+                traverse(&self.slab, ctx, wire, depth, |stage, wire| {
+                    schedule
+                        .comparator_at(stage, wire)
+                        .map(|comparator| (comparator, comparator.top * depth + stage))
+                })
+            }
         }
     }
 }
@@ -156,8 +159,8 @@ pub struct AdaptiveRenaming<T: TwoPartyTas + Default = TwoProcessTas> {
     temp: TempName,
     network: AdaptiveNetwork,
     /// Per-section comparator storage, parallel to `network.sections()`:
-    /// compiled slab for the small inner sections, sharded sparse maps for
-    /// the huge outer ones.
+    /// compiled wire maps for the small inner sections, analytic lookup for
+    /// the huge outer ones, a paged slab for every one.
     stores: Vec<SectionStore<T>>,
 }
 
@@ -210,15 +213,15 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
 
     /// Number of comparator objects allocated so far (harness inspection).
     pub fn allocated_comparators(&self) -> usize {
-        self.stores.iter().map(SectionStore::allocated).sum()
+        self.stores.iter().map(|store| store.slab.allocated()).sum()
     }
 
-    /// Number of sections running on the compiled slab engine (the rest use
-    /// the sparse fallback store). Harness inspection.
+    /// Number of sections looked up through compiled wire maps (the rest
+    /// use the analytic schedule). Harness inspection.
     pub fn compiled_sections(&self) -> usize {
         self.stores
             .iter()
-            .filter(|store| matches!(store, SectionStore::Compiled { .. }))
+            .filter(|store| matches!(store.lookup, Lookup::Compiled(_)))
             .count()
     }
 
@@ -242,36 +245,10 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
             if !section.covers(channel) {
                 continue;
             }
-            match store {
-                SectionStore::Compiled { schedule, slab } => {
-                    // Hot path: O(1) wire-map lookups over local wires, plays
-                    // against the lock-free slab.
-                    let (local, played, won) =
-                        traverse_compiled(schedule, slab, ctx, channel - section.offset);
-                    channel = section.offset + local;
-                    comparators_played += played;
-                    wins += won;
-                }
-                SectionStore::Sparse { shards } => {
-                    for stage in 0..section.schedule.depth() {
-                        if let Some(comparator) = section.comparator_at(stage, channel) {
-                            let game = SectionStore::sparse_game(shards, stage, comparator.top);
-                            let side = if channel == comparator.top {
-                                Side::Top
-                            } else {
-                                Side::Bottom
-                            };
-                            comparators_played += 1;
-                            if game.play(ctx, side) {
-                                wins += 1;
-                                channel = comparator.top;
-                            } else {
-                                channel = comparator.bottom;
-                            }
-                        }
-                    }
-                }
-            }
+            let (local, played, won) = store.traverse(section, ctx, channel - section.offset);
+            channel = section.offset + local;
+            comparators_played += played;
+            wins += won;
         }
         Ok((channel, comparators_played, wins))
     }
@@ -333,6 +310,7 @@ mod tests {
     use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
     use shmem::executor::Executor;
     use shmem::process::ProcessId;
+    use std::sync::Arc;
     use std::time::Duration;
     use tas::hardware::HardwareTas;
 
@@ -475,7 +453,7 @@ mod tests {
     fn inner_sections_compile_and_outer_sections_stay_sparse() {
         // Default instance: level 5, sections A5..A1, S0, C1..C5. Levels 1-3
         // fit the compiled-cell budget; levels 4 and 5 are analytic giants
-        // that must stay sparse.
+        // whose slabs stay sparsely paged.
         let renaming = AdaptiveRenaming::default();
         assert_eq!(renaming.network().sections().len(), 11);
         assert_eq!(renaming.compiled_sections(), 7);
@@ -483,6 +461,20 @@ mod tests {
         // A small truncation compiles everything.
         let small: AdaptiveRenaming = AdaptiveRenaming::with_family(NetworkFamily::OddEven, 3);
         assert_eq!(small.compiled_sections(), small.network().sections().len());
+    }
+
+    #[test]
+    fn analytic_sections_create_only_the_comparators_played() {
+        // A port deep in the level-5 section: the traversal crosses A5 and
+        // then the level-4 sections through analytic lookup, into slabs of
+        // 2^32 × 528 and 65,408 × 136 cells.
+        let renaming = AdaptiveRenaming::default();
+        let mut ctx = ProcessCtx::new(ProcessId::new(9), 1);
+        let (channel, played, wins) = renaming.traverse(&mut ctx, (1 << 31) + 12_345).unwrap();
+        assert_eq!(channel, 0, "a solo process wins its way to name 1");
+        assert_eq!(wins, played);
+        assert!(played > 0);
+        assert_eq!(renaming.allocated_comparators(), played);
     }
 
     #[test]

@@ -42,9 +42,10 @@ pub struct BitBatchingReport {
 /// other [`TestAndSet`] (for instance the hardware test-and-set for the
 /// unit-cost measure).
 ///
-/// The name vector is a lazily initialized [`ComparatorSlab`]: constructing
-/// the object over `n` names allocates `n` empty cells, and a test-and-set
-/// object materializes only when some process first probes its slot
+/// The name vector is a lazily paged [`ComparatorSlab`]: constructing the
+/// object over `n` names allocates nothing, and a test-and-set object (and
+/// the page holding it) materializes only when some process first probes
+/// its slot
 /// (observable through [`BitBatchingRenaming::allocated_slots`]). With
 /// `k ≪ n` participants probing `O(log² n)` slots each, most of the vector
 /// is never built — the same lazy-slab principle the renaming-network engine

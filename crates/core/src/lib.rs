@@ -14,9 +14,10 @@
 //!   construction: any sorting network becomes a strong adaptive renaming
 //!   object by replacing comparators with two-process test-and-sets. Runs on
 //!   the compiled engine: the schedule is lowered to flat wire-map arrays and
-//!   the test-and-sets live in a lock-free
+//!   the test-and-sets live in a lock-free, lazily paged
 //!   [`ComparatorSlab`], so a comparator
-//!   play costs one array load on top of the test-and-set itself. The
+//!   play costs one wire-map load and a short radix walk on top of the
+//!   test-and-set itself. The
 //!   pre-compilation engine is kept as
 //!   [`LockedRenamingNetwork`] for
 //!   benchmark comparison.

@@ -20,9 +20,9 @@
 //! stage?" with one array load — and stores the comparator test-and-sets in a
 //! [`ComparatorSlab`] indexed by the
 //! compiled dense slot. The traversal hot path performs no hashing, no
-//! reference-count traffic and no locking beyond each cell's one-time
-//! initialization: per stage, one wire-map load plus the test-and-set
-//! itself. Comparator objects are still created lazily on first touch
+//! reference-count traffic and no locking beyond each page's and cell's
+//! one-time initialization: per stage, one wire-map load, one atomic load
+//! per radix level of the slab, and the test-and-set itself. Comparator objects are still created lazily on first touch
 //! ([`RenamingNetwork::allocated_comparators`] observes this).
 //!
 //! The previous engine — a global `RwLock<HashMap<(stage, wire), Arc<T>>>`
@@ -37,6 +37,7 @@ use crate::traits::Renaming;
 use parking_lot::RwLock;
 use shmem::process::ProcessCtx;
 use sortnet::compiled::CompiledSchedule;
+use sortnet::network::Comparator;
 use sortnet::schedule::ComparatorSchedule;
 use std::collections::HashMap;
 use std::fmt;
@@ -44,28 +45,32 @@ use std::sync::Arc;
 use tas::two_process::TwoProcessTas;
 use tas::{Side, TwoPartyTas};
 
-/// Plays one process through a compiled schedule against its comparator
-/// slab, entering at `wire`. Returns the exit wire together with the number
-/// of comparators played and won. Shared by [`RenamingNetwork`] and the
-/// compiled sections of [`AdaptiveRenaming`](crate::adaptive::AdaptiveRenaming),
-/// so the traversal protocol cannot silently diverge between the two.
-pub(crate) fn traverse_compiled<T: TwoPartyTas + Default>(
-    schedule: &CompiledSchedule,
+/// Plays one process through `depth` stages of a network whose comparators
+/// live in `slab`, entering at `wire`. `lookup(stage, wire)` gives the
+/// comparator touching `wire` in `stage` and its key in the slab. Returns
+/// the exit wire together with the number of comparators played and won.
+/// Shared by [`RenamingNetwork`] and every section of
+/// [`AdaptiveRenaming`](crate::adaptive::AdaptiveRenaming), so the
+/// traversal protocol cannot silently diverge between them: they differ
+/// only in how a comparator is looked up.
+pub(crate) fn traverse<T: TwoPartyTas + Default>(
     slab: &ComparatorSlab<T>,
     ctx: &mut ProcessCtx,
     mut wire: usize,
+    depth: usize,
+    lookup: impl Fn(usize, usize) -> Option<(Comparator, usize)>,
 ) -> (usize, usize, usize) {
     let mut comparators_played = 0;
     let mut wins = 0;
-    for stage in 0..ComparatorSchedule::depth(schedule) {
-        if let Some((comparator, slot)) = schedule.pair_at(stage, wire) {
+    for stage in 0..depth {
+        if let Some((comparator, key)) = lookup(stage, wire) {
             let side = if wire == comparator.top {
                 Side::Top
             } else {
                 Side::Bottom
             };
             comparators_played += 1;
-            if slab.get(slot).play(ctx, side) {
+            if slab.get(key).play(ctx, side) {
                 wins += 1;
                 wire = comparator.top;
             } else {
@@ -74,6 +79,23 @@ pub(crate) fn traverse_compiled<T: TwoPartyTas + Default>(
         }
     }
     (wire, comparators_played, wins)
+}
+
+/// [`traverse`] over a compiled schedule: one wire-map load per stage, the
+/// slab keyed by the dense comparator slot.
+pub(crate) fn traverse_compiled<T: TwoPartyTas + Default>(
+    schedule: &CompiledSchedule,
+    slab: &ComparatorSlab<T>,
+    ctx: &mut ProcessCtx,
+    wire: usize,
+) -> (usize, usize, usize) {
+    traverse(
+        slab,
+        ctx,
+        wire,
+        ComparatorSchedule::depth(schedule),
+        |stage, wire| schedule.pair_at(stage, wire),
+    )
 }
 
 /// Diagnostics of one traversal of a renaming network.

@@ -5,7 +5,10 @@
 //! * **Linearizability** — required of the ℓ-test-and-set (Lemma 5) and the
 //!   m-valued fetch-and-increment (Theorem 6). [`check_linearizable`] is a
 //!   Wing&Gong-style exhaustive checker with memoization, suitable for the
-//!   small histories produced by stress tests.
+//!   small histories produced by stress tests;
+//!   [`check_linearizable_with_pending`] also accounts for calls that were
+//!   invoked but never responded (crashed processes), following
+//!   Herlihy–Wing.
 //! * **Monotone consistency** — the weaker guarantee the §8.1 counter
 //!   provides. [`check_monotone_consistent`] implements the three conditions
 //!   of Lemma 4 directly on a recorded history.
@@ -111,6 +114,16 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
+/// A call that was invoked but never responded: its process crashed, or it
+/// was still running when recording stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PendingCall<O> {
+    /// The operation invoked.
+    pub op: O,
+    /// Logical timestamp at invocation (same clock as the history's).
+    pub invoke: u64,
+}
+
 /// Checks whether `history` is linearizable with respect to `spec`.
 ///
 /// On success, returns one witness linearization as a list of indices into
@@ -131,77 +144,138 @@ pub fn check_linearizable<S>(
 where
     S: SequentialSpec,
 {
+    check_linearizable_with_pending(spec, history, &[])
+}
+
+/// Checks whether `history`, extended with the `pending` calls that never
+/// responded, is linearizable with respect to `spec`.
+///
+/// Following Herlihy and Wing, a pending call either takes effect exactly
+/// once, at any point after its invocation, with whatever result the
+/// specification gives it, or never takes effect at all. So a crashed
+/// winner of a test-and-set can explain why a completed call lost, but only
+/// if it was invoked before that call responded.
+///
+/// On success, returns one witness linearization as a list of indices:
+/// `i < history.len()` is `history.records()[i]`, and `history.len() + j`
+/// is `pending[j]`. Pending calls that never take effect are absent.
+///
+/// # Errors
+///
+/// Returns [`Violation::NotLinearizable`] if no valid linearization exists.
+///
+/// # Panics
+///
+/// Panics if the history and the pending calls together exceed 64
+/// operations.
+pub fn check_linearizable_with_pending<S>(
+    spec: &S,
+    history: &History<S::Op, S::Ret>,
+    pending: &[PendingCall<S::Op>],
+) -> Result<Vec<usize>, Violation>
+where
+    S: SequentialSpec,
+{
     let records = history.records();
     let n = records.len();
+    assert!(
+        n + pending.len() <= 64,
+        "the exhaustive linearizability checker supports at most 64 operations per history"
+    );
     if n == 0 {
         return Ok(Vec::new());
     }
-    assert!(
-        n <= 64,
-        "the exhaustive linearizability checker supports at most 64 operations per history"
-    );
 
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let search = Search {
+        spec,
+        records,
+        pending,
+    };
+    let mut order: Vec<usize> = Vec::with_capacity(n + pending.len());
     let mut visited: HashSet<(u64, S::State)> = HashSet::new();
-    if search(spec, records, 0, &spec.initial(), &mut order, &mut visited) {
+    if search.run(0, &spec.initial(), &mut order, &mut visited) {
         Ok(order)
     } else {
         Err(Violation::NotLinearizable)
     }
 }
 
-fn search<S>(
-    spec: &S,
-    records: &[OpRecord<S::Op, S::Ret>],
-    done_mask: u64,
-    state: &S::State,
-    order: &mut Vec<usize>,
-    visited: &mut HashSet<(u64, S::State)>,
-) -> bool
-where
-    S: SequentialSpec,
-{
-    let n = records.len();
-    if order.len() == n {
-        return true;
-    }
-    if !visited.insert((done_mask, state.clone())) {
-        return false;
+/// The inputs of one linearizability search. Operation `i < records.len()`
+/// is a completed record; `records.len() + j` is `pending[j]`.
+struct Search<'a, S: SequentialSpec> {
+    spec: &'a S,
+    records: &'a [OpRecord<S::Op, S::Ret>],
+    pending: &'a [PendingCall<S::Op>],
+}
+
+impl<S: SequentialSpec> Search<'_, S> {
+    fn run(
+        &self,
+        done_mask: u64,
+        state: &S::State,
+        order: &mut Vec<usize>,
+        visited: &mut HashSet<(u64, S::State)>,
+    ) -> bool {
+        let n = self.records.len();
+        // Minimum response among completed operations not yet linearized:
+        // an operation can only be linearized next if no other completed
+        // operation finished entirely before it began. Pending calls never
+        // respond, so they never constrain the others.
+        let Some(min_response) = self
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| done_mask & (1 << i) == 0)
+            .map(|(_, r)| r.response)
+            .min()
+        else {
+            // Every completed operation is linearized; the remaining pending
+            // calls simply never take effect.
+            return true;
+        };
+        if !visited.insert((done_mask, state.clone())) {
+            return false;
+        }
+
+        for (i, record) in self.records.iter().enumerate() {
+            if done_mask & (1 << i) != 0 || record.invoke > min_response {
+                continue;
+            }
+            let (next_state, result) = self.spec.apply(state, &record.op);
+            if result == record.result && self.extend(i, done_mask, &next_state, order, visited) {
+                return true;
+            }
+        }
+        for (j, call) in self.pending.iter().enumerate() {
+            let index = n + j;
+            if done_mask & (1 << index) != 0 || call.invoke > min_response {
+                continue;
+            }
+            // A pending call's result was never observed: any is allowed.
+            let (next_state, _) = self.spec.apply(state, &call.op);
+            if self.extend(index, done_mask, &next_state, order, visited) {
+                return true;
+            }
+        }
+        false
     }
 
-    // Minimum response among operations not yet linearized: an operation can
-    // only be linearized next if no other pending operation finished entirely
-    // before it began.
-    let min_response = records
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| done_mask & (1 << i) == 0)
-        .map(|(_, r)| r.response)
-        .min()
-        .expect("at least one pending operation");
-
-    for (i, record) in records.iter().enumerate() {
-        if done_mask & (1 << i) != 0 || record.invoke > min_response {
-            continue;
-        }
-        let (next_state, result) = spec.apply(state, &record.op);
-        if result != record.result {
-            continue;
-        }
-        order.push(i);
-        if search(
-            spec,
-            records,
-            done_mask | (1 << i),
-            &next_state,
-            order,
-            visited,
-        ) {
+    /// Linearizes operation `index` next and searches on from `state`.
+    fn extend(
+        &self,
+        index: usize,
+        done_mask: u64,
+        state: &S::State,
+        order: &mut Vec<usize>,
+        visited: &mut HashSet<(u64, S::State)>,
+    ) -> bool {
+        order.push(index);
+        if self.run(done_mask | (1 << index), state, order, visited) {
             return true;
         }
         order.pop();
+        false
     }
-    false
 }
 
 /// Operations of a counter object, as used by the §8.1 monotone-consistent
@@ -472,6 +546,90 @@ mod tests {
             ]);
             assert!(check_linearizable(&RegisterSpec, &history).is_ok());
         }
+    }
+
+    /// Sequential spec of a one-shot test-and-set: the first call wins.
+    #[derive(Clone, Copy, Debug)]
+    struct TasSpec;
+
+    impl SequentialSpec for TasSpec {
+        type Op = ();
+        type Ret = bool;
+        type State = bool;
+
+        fn initial(&self) -> bool {
+            false
+        }
+
+        fn apply(&self, taken: &bool, _op: &()) -> (bool, bool) {
+            (true, !*taken)
+        }
+    }
+
+    fn tas(process: usize, won: bool, invoke: u64, response: u64) -> OpRecord<(), bool> {
+        OpRecord {
+            process: ProcessId::new(process),
+            op: (),
+            result: won,
+            invoke,
+            response,
+        }
+    }
+
+    #[test]
+    fn a_pending_winner_explains_a_completed_loser() {
+        // The only completed call lost: without the crashed call nobody can
+        // have won before it.
+        let history = History::new(vec![tas(1, false, 2, 5)]);
+        assert_eq!(
+            check_linearizable(&TasSpec, &history),
+            Err(Violation::NotLinearizable)
+        );
+        // A call invoked at time 1 (before the loser responded) that never
+        // returned may have won first.
+        let pending = [PendingCall { op: (), invoke: 1 }];
+        assert_eq!(
+            check_linearizable_with_pending(&TasSpec, &history, &pending),
+            Ok(vec![1, 0])
+        );
+        // Invoked during the loser's call also works.
+        let overlapping = [PendingCall { op: (), invoke: 3 }];
+        assert!(check_linearizable_with_pending(&TasSpec, &history, &overlapping).is_ok());
+    }
+
+    #[test]
+    fn a_pending_call_invoked_after_every_response_explains_nothing() {
+        let history = History::new(vec![tas(0, true, 1, 2), tas(1, false, 3, 4)]);
+        let late = [PendingCall { op: (), invoke: 9 }];
+        // The completed history is fine on its own, and the late call may
+        // simply never take effect.
+        assert_eq!(
+            check_linearizable_with_pending(&TasSpec, &history, &late),
+            Ok(vec![0, 1])
+        );
+        // But it cannot explain a loser that responded before it was
+        // invoked.
+        let lone_loser = History::new(vec![tas(1, false, 3, 4)]);
+        assert_eq!(
+            check_linearizable_with_pending(&TasSpec, &lone_loser, &late),
+            Err(Violation::NotLinearizable)
+        );
+    }
+
+    #[test]
+    fn pending_calls_take_effect_at_most_once() {
+        // Two completed losers and a single crashed call: one pending win
+        // explains both losses, and nothing needs it twice.
+        let history = History::new(vec![tas(1, false, 2, 3), tas(2, false, 4, 5)]);
+        let pending = [PendingCall { op: (), invoke: 1 }];
+        assert_eq!(
+            check_linearizable_with_pending(&TasSpec, &history, &pending),
+            Ok(vec![2, 0, 1])
+        );
+        // A completed winner after a pending call's possible effect is
+        // still fine: the pending call may never take effect.
+        let winner_later = History::new(vec![tas(1, true, 2, 3)]);
+        assert!(check_linearizable_with_pending(&TasSpec, &winner_later, &pending).is_ok());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 use adaptive_renaming::fetch_increment::FetchIncrementSpec;
 use adaptive_renaming::ltas::BoundedTasSpec;
 use shmem::consistency::{
-    check_linearizable, check_monotone_consistent, CounterOp, CounterSpec, Violation,
+    check_linearizable, check_linearizable_with_pending, check_monotone_consistent, CounterOp,
+    CounterSpec, PendingCall, Violation,
 };
 use shmem::history::{History, OpRecord, Recorder};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use strong_renaming::prelude::*;
 
@@ -155,6 +156,9 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
         let limit = 3usize;
         let ltas = Arc::new(BoundedTas::new(limit));
         let recorder: Arc<Recorder<(), bool>> = Arc::new(Recorder::new());
+        // Invocation stamps, taken before each call: a crashed call leaves
+        // its stamp here but no record in the history.
+        let invoked: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
             prob: 0.2,
             max_steps: 60,
@@ -162,20 +166,31 @@ fn bounded_tas_histories_remain_linearizable_under_crashes() {
         let _ = Executor::new(config).run(9, {
             let ltas = Arc::clone(&ltas);
             let recorder = Arc::clone(&recorder);
+            let invoked = Arc::clone(&invoked);
             move |ctx| {
                 let invoke = recorder.invoke();
+                invoked.lock().unwrap().push(invoke);
                 let won = ltas.invoke(ctx);
                 recorder.record(ctx.id(), (), won, invoke);
             }
         });
-        // Crashed invocations never complete, so they are simply absent from
-        // the history; the completed operations must still linearize.
+        // A crashed invocation may still have taken one of the ℓ winning
+        // slots before its process died, so it is passed to the checker as
+        // pending: it takes effect at most once, after its invocation.
         let history = recorder.take_history();
-        check_linearizable(
+        let pending: Vec<PendingCall<()>> = invoked
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&invoke| history.iter().all(|record| record.invoke != invoke))
+            .map(|&invoke| PendingCall { op: (), invoke })
+            .collect();
+        check_linearizable_with_pending(
             &BoundedTasSpec {
                 limit: limit as u64,
             },
             &history,
+            &pending,
         )
         .unwrap_or_else(|violation| panic!("seed {seed}: {violation}"));
     }
