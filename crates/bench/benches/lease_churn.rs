@@ -1,5 +1,5 @@
-//! Criterion bench for the long-lived lease hot path: recyclers (flat,
-//! hierarchical, batched, sharded) against the CAS-ticket dispenser.
+//! Criterion bench for the long-lived lease hot path: recyclers (single,
+//! batched, sharded) against the CAS-ticket dispenser.
 //!
 //! Each measured iteration runs a fresh object through `THREADS` concurrent
 //! workers × `OPS` acquire/release cycles on the raw (guard-free) lease
@@ -8,12 +8,11 @@
 //! `BENCH_lease_churn.json` with per-thread-count sweeps.
 
 use adaptive_renaming::builder::RenamingBuilder;
-use adaptive_renaming::free_list::FreeListKind;
 use adaptive_renaming::lease::LongLivedRenaming;
 use adaptive_renaming::recycler::Recycler;
 use adaptive_renaming::sharded::ShardedRecycler;
 use adaptive_renaming::traits::Renaming;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use shmem::adversary::ExecConfig;
 use shmem::executor::Executor;
 use shmem::register::AtomicU64Register;
@@ -53,25 +52,16 @@ fn bench_lease_churn(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
 
-    for (label, kind) in [
-        ("flat", FreeListKind::Flat),
-        ("hierarchical", FreeListKind::Hierarchical),
-    ] {
-        group.bench_with_input(BenchmarkId::new("recycler", label), &kind, |b, &kind| {
-            b.iter(|| {
-                let recycler = Arc::new(Recycler::with_free_list(network(64), THREADS, kind));
-                assert_eq!(churn(recycler), THREADS);
-            })
-        });
-    }
+    group.bench_function("recycler/hierarchical", |b| {
+        b.iter(|| {
+            let recycler = Arc::new(Recycler::new(network(64), THREADS));
+            assert_eq!(churn(recycler), THREADS);
+        })
+    });
 
     group.bench_function("recycler/hierarchical_batch8", |b| {
         b.iter(|| {
-            let recycler = Arc::new(Recycler::with_free_list(
-                network(THREADS * BATCH),
-                THREADS * BATCH,
-                FreeListKind::Hierarchical,
-            ));
+            let recycler = Arc::new(Recycler::new(network(THREADS * BATCH), THREADS * BATCH));
             let outcome = Executor::new(ExecConfig::new(5)).run(THREADS, {
                 let recycler = Arc::clone(&recycler);
                 move |ctx| {

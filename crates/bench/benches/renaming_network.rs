@@ -1,15 +1,13 @@
 //! Criterion bench for Experiment E3: renaming networks over fixed sorting
-//! networks, for both comparator implementations — plus the engine shootout:
-//! the compiled wire-map + comparator-slab engine ([`RenamingNetwork`])
-//! against the legacy `RwLock<HashMap>` engine ([`LockedRenamingNetwork`])
-//! on the same `odd_even_network(64)` workload with 16 concurrent processes.
+//! networks, for both comparator implementations — plus batched traversals
+//! of the compiled wire-map + comparator-slab engine ([`RenamingNetwork`])
+//! on an `odd_even_network(64)` workload with 16 concurrent processes.
 //!
-//! The engine benches pre-build a batch of fresh one-shot networks and time
+//! The batched benches pre-build a batch of fresh one-shot networks and time
 //! only the concurrent traversals, so the numbers isolate the per-comparator
-//! lookup cost the compiled engine removes. `exp_renaming_network` records
-//! the same comparison into `BENCH_renaming_network.json`.
+//! cost from the executor's thread spawn/join.
 
-use adaptive_renaming::renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+use adaptive_renaming::renaming_network::RenamingNetwork;
 use adaptive_renaming::traits::Renaming;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shmem::adversary::ExecConfig;
@@ -29,8 +27,7 @@ fn ids(count: usize, namespace: usize) -> Vec<ProcessId> {
 
 /// Runs `k` concurrent processes through the batch of fresh networks,
 /// returning the number of completions (sanity-checked by the caller). The
-/// batch amortizes the executor's thread spawn/join — identical for both
-/// engines — over many traversals.
+/// batch amortizes the executor's thread spawn/join over many traversals.
 fn run_batch<N: Renaming + Send + Sync>(networks: &Arc<Vec<N>>, k: usize, m: usize) -> usize {
     let outcome = Executor::new(ExecConfig::new(3)).run_with_ids(&ids(k, m), {
         let networks = Arc::clone(networks);
@@ -77,14 +74,14 @@ fn bench_renaming_network(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compiled slab engine vs legacy RwLock+HashMap engine: `odd_even_network(64)`,
-/// 16 concurrent processes, a batch of fresh one-shot networks per iteration.
-fn bench_engine_comparison(c: &mut Criterion) {
+/// `odd_even_network(64)`, 16 concurrent processes, a batch of fresh
+/// one-shot networks per iteration.
+fn bench_traversal_batches(c: &mut Criterion) {
     const M: usize = 64;
     const K: usize = 16;
     const ROUNDS: usize = 16;
 
-    let mut group = c.benchmark_group("renaming_engine");
+    let mut group = c.benchmark_group("renaming_network_batch");
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
@@ -97,20 +94,6 @@ fn bench_engine_comparison(c: &mut Criterion) {
                 let networks: Arc<Vec<RenamingNetwork<_, HardwareTas>>> = Arc::new(
                     (0..ROUNDS)
                         .map(|_| RenamingNetwork::new(odd_even_network(m)))
-                        .collect(),
-                );
-                assert_eq!(run_batch(&networks, K, m), K);
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("locked_hashmap/hardware_tas", M),
-        &M,
-        |b, &m| {
-            b.iter(|| {
-                let networks: Arc<Vec<LockedRenamingNetwork<_, HardwareTas>>> = Arc::new(
-                    (0..ROUNDS)
-                        .map(|_| LockedRenamingNetwork::new(odd_even_network(m)))
                         .collect(),
                 );
                 assert_eq!(run_batch(&networks, K, m), K);
@@ -131,22 +114,8 @@ fn bench_engine_comparison(c: &mut Criterion) {
             });
         },
     );
-    group.bench_with_input(
-        BenchmarkId::new("locked_hashmap/two_process_tas", M),
-        &M,
-        |b, &m| {
-            b.iter(|| {
-                let networks: Arc<Vec<LockedRenamingNetwork<_, TwoProcessTas>>> = Arc::new(
-                    (0..ROUNDS)
-                        .map(|_| LockedRenamingNetwork::new(odd_even_network(m)))
-                        .collect(),
-                );
-                assert_eq!(run_batch(&networks, K, m), K);
-            });
-        },
-    );
     group.finish();
 }
 
-criterion_group!(benches, bench_renaming_network, bench_engine_comparison);
+criterion_group!(benches, bench_renaming_network, bench_traversal_batches);
 criterion_main!(benches);

@@ -56,7 +56,7 @@ use cnet::adaptive::AdaptiveNetworkCounter;
 use cnet::counter::NetworkCounter;
 use cnet::family::CountingFamily;
 use cnet::verify::step_property_violation;
-use renaming_bench::{fmt1, parse_baseline_rows, GateReport, Table};
+use renaming_bench::{enforce_gate, fmt1, Table};
 use shmem::adversary::{ArrivalSchedule, ExecConfig};
 use shmem::executor::Executor;
 use shmem::process::{ProcessCtx, ProcessId};
@@ -558,52 +558,28 @@ const PADDING_NOTE: &str = "exit wires, balancer slabs and free-list summary wor
      16 threads, bursty: mean 222.9 ns/op, max 282.5 ns/op";
 
 /// `--gate`: replay the full sizing and compare every (backend, threads,
-/// arrivals) best (minimum ns/op) execution against the committed `BENCH_counters.json`, failing when even
-/// the best replay sits >20% past the committed mean (or committed max for
-/// rows whose baseline was already noisy). Exits the process with status 1 on failure.
+/// arrivals) best (minimum ns/op) execution against the committed
+/// `BENCH_counters.json`, failing when even the best replay sits >20% past
+/// the committed mean (or committed max for rows whose baseline was
+/// already noisy), when a cell has no committed row, or when a committed
+/// row has no cell. Exits the process with status 1 on failure.
 fn run_gate(samples: &[Sample]) {
-    let committed = match std::fs::read_to_string("BENCH_counters.json") {
-        Ok(json) => parse_baseline_rows(&json),
-        Err(error) => {
-            eprintln!("perf gate: cannot read BENCH_counters.json: {error}");
-            std::process::exit(1);
-        }
-    };
-    let mut report = GateReport::new();
-    for sample in samples {
-        let label = format!(
-            "{} at {} threads ({})",
-            sample.backend,
-            sample.threads,
-            sample.arrivals.name()
-        );
-        let threads = sample.threads.to_string();
-        let row = committed.iter().find(|row| {
-            row.matches(&[
-                ("backend", sample.backend),
-                ("threads", &threads),
-                ("arrivals", sample.arrivals.name()),
-            ])
-        });
-        match row
-            .and_then(|row| Some((row.number("mean_ns_per_op")?, row.number("max_ns_per_op")?)))
-        {
-            Some((mean, max)) => report.check(&label, sample.min_ns_per_op, mean, max),
-            None => report.missing(&label),
-        }
-    }
-    if report.passed() {
-        println!(
-            "perf gate: {} configurations within tolerance of BENCH_counters.json",
-            report.checked()
-        );
-    } else {
-        eprintln!("perf gate FAILED against BENCH_counters.json:");
-        for failure in report.failures() {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    }
+    let fresh: Vec<(Vec<String>, f64)> = samples
+        .iter()
+        .map(|s| {
+            let key = vec![
+                s.backend.to_string(),
+                s.threads.to_string(),
+                s.arrivals.name().to_string(),
+            ];
+            (key, s.min_ns_per_op)
+        })
+        .collect();
+    enforce_gate(
+        "BENCH_counters.json",
+        &["backend", "threads", "arrivals"],
+        &fresh,
+    );
 }
 
 fn main() {

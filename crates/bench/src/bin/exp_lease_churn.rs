@@ -2,14 +2,12 @@
 //!
 //! Worker threads repeatedly lease and release a name. The contenders:
 //!
-//! * **`Recycler` (flat free list)** — the compiled §5 renaming network
-//!   behind the lock-free recycling free list, with the flat one-level
-//!   bitmap (the pre-hierarchical baseline). Names stay inside
-//!   `1..=threads` forever (the *tight* long-lived guarantee).
-//! * **`Recycler` (hierarchical free list)** — the same object with the
-//!   two-level bitmap: pop-minimum consults a summary word and visits only
-//!   data words that have ever held a free name, so hits *and* misses are
-//!   `O(1)` expected under churn instead of `O(bound / 64)` flat scans.
+//! * **`Recycler`** — the compiled §5 renaming network behind the
+//!   lock-free recycling free list, a two-level bitmap: pop-minimum
+//!   consults a summary word and visits only data words that have ever
+//!   held a free name, so hits *and* misses are `O(1)` expected under
+//!   churn. Names stay inside `1..=threads` forever (the *tight*
+//!   long-lived guarantee).
 //! * **`ShardedRecycler`** — one recycler per worker-count shard over
 //!   disjoint name ranges, home shards by process id, overflow stealing.
 //!   Shard-local atomics take the coherence traffic out of the hot path at
@@ -56,12 +54,11 @@
 
 use adaptive_renaming::batched::BatchedRecycler;
 use adaptive_renaming::builder::RenamingBuilder;
-use adaptive_renaming::free_list::FreeListKind;
 use adaptive_renaming::lease::LongLivedRenaming;
 use adaptive_renaming::recycler::Recycler;
 use adaptive_renaming::sharded::ShardedRecycler;
 use adaptive_renaming::traits::Renaming;
-use renaming_bench::{fmt1, parse_baseline_rows, GateReport, Table};
+use renaming_bench::{enforce_gate, fmt1, Table};
 use shmem::adversary::ExecConfig;
 use shmem::executor::Executor;
 use shmem::register::AtomicU64Register;
@@ -374,14 +371,9 @@ fn measure_robust_procs(sizing: &Sizing, processes: usize) -> Sample {
     }
 }
 
-/// Measures a single recycler with the given free-list layout.
-fn measure_recycler(
-    sizing: &Sizing,
-    variant: &'static str,
-    threads: usize,
-    kind: FreeListKind,
-) -> Sample {
-    let recycler = Arc::new(Recycler::with_free_list(network(WIDTH), threads, kind));
+/// Measures a single recycler.
+fn measure_recycler(sizing: &Sizing, variant: &'static str, threads: usize) -> Sample {
+    let recycler = Arc::new(Recycler::new(network(WIDTH), threads));
     measure(
         sizing,
         VariantSpec {
@@ -414,29 +406,14 @@ fn measure_recycler(
 fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
     let mut samples = Vec::new();
     for &threads in sizing.threads {
-        // --- Recycler over the compiled renaming network, both layouts ----
-        samples.push(measure_recycler(
-            sizing,
-            "recycler_flat",
-            threads,
-            FreeListKind::Flat,
-        ));
-        samples.push(measure_recycler(
-            sizing,
-            "recycler_hierarchical",
-            threads,
-            FreeListKind::Hierarchical,
-        ));
+        // --- Recycler over the compiled renaming network -----------------
+        samples.push(measure_recycler(sizing, "recycler_hierarchical", threads));
 
         // --- Batched leases: admission and release amortized over BATCH ---
         // Each worker cycles a whole batch at a time through the raw batch
         // surface: one admission reservation and one release-side counter
         // bump per BATCH leases instead of per lease.
-        let batched = Arc::new(Recycler::with_free_list(
-            network(threads * BATCH),
-            threads * BATCH,
-            FreeListKind::Hierarchical,
-        ));
+        let batched = Arc::new(Recycler::new(network(threads * BATCH), threads * BATCH));
         samples.push(measure(
             sizing,
             VariantSpec {
@@ -470,11 +447,7 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
         // (no caller-side batching), with the release cost amortized by the
         // stripe stashes. Names stay within the concurrency bound but lose
         // the per-grant tightness, so the row is labelled loose.
-        let stash_inner = Arc::new(Recycler::with_free_list(
-            network(WIDTH),
-            threads,
-            FreeListKind::Hierarchical,
-        ));
+        let stash_inner = Arc::new(Recycler::new(network(WIDTH), threads));
         let stash = Arc::new(BatchedRecycler::new(
             Arc::clone(&stash_inner) as Arc<dyn LongLivedRenaming>,
             BATCH,
@@ -575,7 +548,7 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
 
 fn print_table(samples: &[Sample]) {
     let mut table = Table::new(
-        "Lease churn — acquire/release cycles: recyclers (flat/hierarchical/sharded) vs ticket dispenser",
+        "Lease churn — acquire/release cycles: recyclers (single/batched/sharded) vs ticket dispenser",
         &[
             "variant",
             "threads",
@@ -736,11 +709,7 @@ fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
         ));
     };
     for &threads in sizing.threads {
-        let hierarchical = Arc::new(Recycler::with_free_list(
-            network(WIDTH),
-            threads,
-            FreeListKind::Hierarchical,
-        ));
+        let hierarchical = Arc::new(Recycler::new(network(WIDTH), threads));
         push_row(
             "recycler_hierarchical",
             threads,
@@ -757,11 +726,7 @@ fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
         );
 
         let stash = Arc::new(BatchedRecycler::new(
-            Arc::new(Recycler::with_free_list(
-                network(WIDTH),
-                threads,
-                FreeListKind::Hierarchical,
-            )) as Arc<dyn LongLivedRenaming>,
+            Arc::new(Recycler::new(network(WIDTH), threads)) as Arc<dyn LongLivedRenaming>,
             BATCH,
         ));
         push_row(
@@ -801,41 +766,19 @@ fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
 /// cell's best (minimum ns/op) execution against the committed
 /// `BENCH_lease_churn.json`, failing when even the best replay sits >20%
 /// past the committed mean (or committed max for rows whose baseline was
-/// already noisy). Exits the process with status 1 on failure.
+/// already noisy), when a cell has no committed row, or when a committed
+/// row has no cell. Exits the process with status 1 on failure.
 fn run_gate(samples: &[Sample]) {
-    let committed = match std::fs::read_to_string("BENCH_lease_churn.json") {
-        Ok(json) => parse_baseline_rows(&json),
-        Err(error) => {
-            eprintln!("perf gate: cannot read BENCH_lease_churn.json: {error}");
-            std::process::exit(1);
-        }
-    };
-    let mut report = GateReport::new();
-    for sample in samples {
-        let label = format!("{} at {} threads", sample.variant, sample.threads);
-        let threads = sample.threads.to_string();
-        let row = committed
-            .iter()
-            .find(|row| row.matches(&[("variant", sample.variant), ("threads", &threads)]));
-        match row
-            .and_then(|row| Some((row.number("mean_ns_per_op")?, row.number("max_ns_per_op")?)))
-        {
-            Some((mean, max)) => report.check(&label, sample.min_ns_per_op, mean, max),
-            None => report.missing(&label),
-        }
-    }
-    if report.passed() {
-        println!(
-            "perf gate: {} configurations within tolerance of BENCH_lease_churn.json",
-            report.checked()
-        );
-    } else {
-        eprintln!("perf gate FAILED against BENCH_lease_churn.json:");
-        for failure in report.failures() {
-            eprintln!("  {failure}");
-        }
-        std::process::exit(1);
-    }
+    let fresh: Vec<(Vec<String>, f64)> = samples
+        .iter()
+        .map(|s| {
+            (
+                vec![s.variant.to_string(), s.threads.to_string()],
+                s.min_ns_per_op,
+            )
+        })
+        .collect();
+    enforce_gate("BENCH_lease_churn.json", &["variant", "threads"], &fresh);
 }
 
 fn main() {
@@ -869,12 +812,9 @@ fn main() {
         };
         let ticket = ns("cas_ticket_baseline");
         println!(
-            "{threads:>2} threads: flat {:.0} ns/op ({:.1}x), hierarchical {:.0} ns/op \
-             ({:.1}x), batch8 {:.0} ns/op ({:.1}x), stash8 {:.0} ns/op ({:.1}x), \
-             sharded {:.0} ns/op ({:.1}x) vs \
+            "{threads:>2} threads: hierarchical {:.0} ns/op ({:.1}x), batch8 {:.0} ns/op \
+             ({:.1}x), stash8 {:.0} ns/op ({:.1}x), sharded {:.0} ns/op ({:.1}x) vs \
              ticket {ticket:.0} ns/op; tight namespace 1..={threads}, loose ≤ {}",
-            ns("recycler_flat"),
-            ns("recycler_flat") / ticket,
             ns("recycler_hierarchical"),
             ns("recycler_hierarchical") / ticket,
             ns("recycler_hierarchical_batch8"),

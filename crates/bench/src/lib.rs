@@ -219,10 +219,59 @@ impl GateReport {
         Self::default()
     }
 
+    /// Matches fresh samples against committed rows in both directions.
+    /// Each sample is its values for the `keys` fields (in `keys` order)
+    /// plus its best replayed ns/op. A sample is checked against the first
+    /// committed row with the same key values; a sample with no such row,
+    /// and a committed row that no sample matched, are both failures — a
+    /// renamed configuration must not hide a regression, and a deleted one
+    /// must not leave a stale baseline row behind.
+    pub fn compare(
+        committed: &[BaselineRow],
+        keys: &[&str],
+        samples: &[(Vec<String>, f64)],
+    ) -> Self {
+        let label = |values: &[&str]| {
+            keys.iter()
+                .zip(values)
+                .map(|(key, value)| format!("{key} {value}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let mut report = GateReport::new();
+        let mut matched = vec![false; committed.len()];
+        for (values, fresh_min) in samples {
+            let values: Vec<&str> = values.iter().map(String::as_str).collect();
+            let criteria: Vec<(&str, &str)> =
+                keys.iter().copied().zip(values.iter().copied()).collect();
+            let found = committed.iter().position(|row| row.matches(&criteria));
+            let baseline = found.and_then(|index| {
+                matched[index] = true;
+                let row = &committed[index];
+                Some((row.number("mean_ns_per_op")?, row.number("max_ns_per_op")?))
+            });
+            match baseline {
+                Some((mean, max)) => report.check(&label(&values), *fresh_min, mean, max),
+                None => report.missing(&label(&values)),
+            }
+        }
+        for (row, seen) in committed.iter().zip(matched) {
+            if !seen {
+                let values: Vec<&str> =
+                    keys.iter().map(|key| row.get(key).unwrap_or("?")).collect();
+                let label = label(&values);
+                report
+                    .failures
+                    .push(format!("{label}: committed row has no fresh sample"));
+            }
+        }
+        report
+    }
+
     /// Records one comparison of a fresh *minimum* (best replayed
     /// execution) against a committed baseline row's `mean` and `max`
     /// values under the given label.
-    pub fn check(&mut self, label: &str, fresh_min: f64, committed_mean: f64, committed_max: f64) {
+    fn check(&mut self, label: &str, fresh_min: f64, committed_mean: f64, committed_max: f64) {
         self.checked += 1;
         if gate_regresses(fresh_min, committed_mean, committed_max) {
             self.failures.push(format!(
@@ -235,7 +284,7 @@ impl GateReport {
     /// Records a configuration that could not be compared (missing from the
     /// committed baseline) — a gate failure, since silently skipping it
     /// would let regressions hide behind renamed rows.
-    pub fn missing(&mut self, label: &str) {
+    fn missing(&mut self, label: &str) {
         self.failures
             .push(format!("{label}: no committed baseline row"));
     }
@@ -253,6 +302,33 @@ impl GateReport {
     /// The failure lines (empty when [`GateReport::passed`]).
     pub fn failures(&self) -> &[String] {
         &self.failures
+    }
+}
+
+/// The `--gate` mode of the experiment binaries: reads the committed
+/// baseline at `path`, compares `samples` against it with
+/// [`GateReport::compare`], prints the verdict and exits the process with
+/// status 1 on failure.
+pub fn enforce_gate(path: &str, keys: &[&str], samples: &[(Vec<String>, f64)]) {
+    let committed = match std::fs::read_to_string(path) {
+        Ok(json) => parse_baseline_rows(&json),
+        Err(error) => {
+            eprintln!("perf gate: cannot read {path}: {error}");
+            std::process::exit(1);
+        }
+    };
+    let report = GateReport::compare(&committed, keys, samples);
+    if report.passed() {
+        println!(
+            "perf gate: {} configurations within tolerance of {path}",
+            report.checked()
+        );
+    } else {
+        eprintln!("perf gate FAILED against {path}:");
+        for failure in report.failures() {
+            eprintln!("  {failure}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -363,5 +439,55 @@ mod tests {
         assert_eq!(report.failures().len(), 2);
         assert!(report.failures()[0].contains("slow-row"));
         assert!(report.failures()[1].contains("no committed baseline"));
+    }
+
+    #[test]
+    fn gate_matching_fails_both_ways() {
+        let committed = parse_baseline_rows(
+            "{\"variant\": \"a\", \"threads\": 2, \"mean_ns_per_op\": 100.0, \"max_ns_per_op\": 110.0}\n\
+             {\"variant\": \"b\", \"threads\": 2, \"mean_ns_per_op\": 100.0, \"max_ns_per_op\": 110.0}\n\
+             {\"variant\": \"a\", \"threads\": 4, \"mean_ns_per_op\": 100.0, \"max_ns_per_op\": 110.0}\n",
+        );
+        let keys = ["variant", "threads"];
+        let sample = |variant: &str, threads: usize, fresh_min: f64| {
+            (vec![variant.to_string(), threads.to_string()], fresh_min)
+        };
+        // Every committed row is produced and within tolerance.
+        let all = [
+            sample("a", 2, 100.0),
+            sample("b", 2, 130.0),
+            sample("a", 4, 90.0),
+        ];
+        let report = GateReport::compare(&committed, &keys, &all);
+        assert!(report.passed(), "{:?}", report.failures());
+        assert_eq!(report.checked(), 3);
+
+        // A fresh sample with no committed row, and a committed row with no
+        // fresh sample, both fail; the matched rows are still checked.
+        let drifted = [
+            sample("a", 2, 100.0),
+            sample("c", 2, 100.0),
+            sample("a", 4, 90.0),
+        ];
+        let report = GateReport::compare(&committed, &keys, &drifted);
+        assert!(!report.passed());
+        assert_eq!(report.checked(), 2);
+        assert_eq!(
+            report.failures(),
+            [
+                "variant c, threads 2: no committed baseline row",
+                "variant b, threads 2: committed row has no fresh sample",
+            ]
+        );
+
+        // A regression on a matched row is reported as before.
+        let slow = [
+            sample("a", 2, 200.0),
+            sample("b", 2, 100.0),
+            sample("a", 4, 90.0),
+        ];
+        let report = GateReport::compare(&committed, &keys, &slow);
+        assert_eq!(report.failures().len(), 1);
+        assert!(report.failures()[0].starts_with("variant a, threads 2: best replay 200.0"));
     }
 }

@@ -47,7 +47,6 @@
 
 use crate::compiled::CompiledBalancingNetwork;
 use crate::family::CountingFamily;
-use crate::network::BalancingTopology;
 use crate::prism::{Prism, PrismOutcome};
 use crate::verify::{step_property_violation, StepViolation};
 use shmem::pad::CachePadded;

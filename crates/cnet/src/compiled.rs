@@ -1,4 +1,4 @@
-//! The compiled balancing-network fast path.
+//! The balancing-network engine.
 //!
 //! [`CompiledBalancingNetwork`] reuses the renaming engine's
 //! [`CompiledSchedule`] lowering wholesale: the schedule's flat
@@ -11,7 +11,7 @@
 //! chasing.
 
 use crate::balancer::Balancer;
-use crate::network::{exit_wire, BalancingTopology};
+use crate::network::exit_wire;
 use shmem::arena::Arena;
 use sortnet::compiled::CompiledSchedule;
 use sortnet::schedule::ComparatorSchedule;
@@ -25,7 +25,6 @@ use std::sync::Arc;
 /// ```
 /// use cnet::compiled::CompiledBalancingNetwork;
 /// use cnet::family::CountingFamily;
-/// use cnet::network::BalancingTopology;
 /// use shmem::process::{ProcessCtx, ProcessId};
 ///
 /// let network = CompiledBalancingNetwork::compile(&*CountingFamily::Bitonic.schedule(8));
@@ -104,22 +103,30 @@ impl CompiledBalancingNetwork {
     pub fn balancer_tokens(&self) -> Vec<u64> {
         self.balancers.iter().map(Balancer::tokens).collect()
     }
-}
 
-impl BalancingTopology for CompiledBalancingNetwork {
-    fn width(&self) -> usize {
+    /// Number of wires.
+    pub fn width(&self) -> usize {
         self.schedule.width()
     }
 
-    fn depth(&self) -> usize {
+    /// Number of stages.
+    pub fn depth(&self) -> usize {
         self.schedule.depth()
     }
 
-    fn size(&self) -> usize {
+    /// Total number of balancers.
+    pub fn size(&self) -> usize {
         self.balancers.len()
     }
 
-    fn traverse(&self, ctx: &mut shmem::process::ProcessCtx, wire: usize) -> usize {
+    /// Routes one token from input `wire` to the output wire it exits on,
+    /// toggling every balancer it meets (one
+    /// [`StepKind::Balancer`](shmem::steps::StepKind) step each).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wire >= self.width()`.
+    pub fn traverse(&self, ctx: &mut shmem::process::ProcessCtx, wire: usize) -> usize {
         assert!(
             wire < self.width(),
             "entry wire {wire} is outside the network's {} wires",
@@ -149,33 +156,39 @@ impl fmt::Debug for CompiledBalancingNetwork {
 mod tests {
     use super::*;
     use crate::family::CountingFamily;
-    use crate::network::BalancingNetwork;
+    use crate::verify::simulate_tokens;
     use shmem::process::{ProcessCtx, ProcessId};
-    use std::sync::Arc;
 
     #[test]
-    fn compiled_and_interpreted_engines_route_identically() {
+    fn compiled_engine_agrees_with_the_token_simulator() {
         for family in CountingFamily::all() {
             for width in [2usize, 4, 8, 16] {
                 let schedule = family.schedule(width);
-                let interpreted = BalancingNetwork::new(Arc::clone(&schedule));
                 let compiled = CompiledBalancingNetwork::compile(&*schedule);
-                assert_eq!(compiled.width(), interpreted.width());
-                assert_eq!(compiled.depth(), interpreted.depth());
-                assert_eq!(compiled.size(), interpreted.size());
-                let mut a = ProcessCtx::new(ProcessId::new(0), 9);
-                let mut b = ProcessCtx::new(ProcessId::new(0), 9);
-                // Identical token sequences produce identical exits: the
-                // engines are the same wiring over the same toggle states.
+                let mut ctx = ProcessCtx::new(ProcessId::new(0), 9);
+                let mut entries = Vec::new();
+                let mut counts = vec![0u64; width];
                 for token in 0..4 * width {
+                    // The pure simulator replays every token so far; the
+                    // token's expected exit is the wire whose count rose.
                     let wire = token % width;
+                    entries.push(wire);
+                    let next = simulate_tokens(&*schedule, &entries);
+                    let expected = (0..width)
+                        .find(|&exit| next[exit] > counts[exit])
+                        .expect("one exit count rises per token");
+                    counts = next;
+                    let toggles_before = ctx.stats().balancer_toggles;
+                    let met_before: u64 = compiled.balancer_tokens().iter().sum();
+                    let exit = compiled.traverse(&mut ctx, wire);
+                    assert_eq!(exit, expected, "{family} width {width} token {token}");
+                    let met = compiled.balancer_tokens().iter().sum::<u64>() - met_before;
                     assert_eq!(
-                        compiled.traverse(&mut a, wire),
-                        interpreted.traverse(&mut b, wire),
-                        "{family} width {width} token {token}"
+                        ctx.stats().balancer_toggles - toggles_before,
+                        met,
+                        "{family} width {width} token {token}: one step per balancer met"
                     );
                 }
-                assert_eq!(a.stats(), b.stats(), "step accounting agrees");
             }
         }
     }

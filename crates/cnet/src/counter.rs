@@ -24,7 +24,6 @@
 
 use crate::compiled::CompiledBalancingNetwork;
 use crate::family::CountingFamily;
-use crate::network::BalancingTopology;
 use shmem::arena::Arena;
 use shmem::pad::CachePadded;
 use shmem::process::ProcessCtx;
@@ -48,17 +47,16 @@ use std::sync::Arc;
 /// counter.increment(&mut ctx);
 /// assert_eq!(counter.read(&mut ctx), 3);
 /// ```
-pub struct NetworkCounter<T: BalancingTopology = CompiledBalancingNetwork> {
-    network: T,
+pub struct NetworkCounter {
+    network: CompiledBalancingNetwork,
     /// One local counter per output wire, each on its own cache line: exit
     /// wires are hit by different tokens concurrently, and the whole point of
     /// the network is that those final fetch-adds do not contend.
     exits: Vec<CachePadded<AtomicU64Register>>,
 }
 
-impl NetworkCounter<CompiledBalancingNetwork> {
-    /// Builds the counter over the compiled fast-path engine for a certified
-    /// counting wiring.
+impl NetworkCounter {
+    /// Builds the counter over a certified counting wiring.
     ///
     /// # Panics
     ///
@@ -88,18 +86,7 @@ impl NetworkCounter<CompiledBalancingNetwork> {
         let size = CompiledBalancingNetwork::compile(&*family.schedule(width)).size();
         CompiledBalancingNetwork::footprint(size) + width * 64
     }
-}
 
-impl Default for NetworkCounter<CompiledBalancingNetwork> {
-    /// A width-8 bitonic network counter — wide enough to spread the
-    /// contention of a typical thread count, shallow enough (6 stages) to
-    /// keep the uncontended latency low.
-    fn default() -> Self {
-        Self::new(CountingFamily::Bitonic, 8)
-    }
-}
-
-impl<T: BalancingTopology> NetworkCounter<T> {
     /// Builds the counter over an explicit balancing network.
     ///
     /// The quiescent-consistency guarantee requires the network to be a
@@ -108,7 +95,7 @@ impl<T: BalancingTopology> NetworkCounter<T> {
     /// are still exact — tokens are conserved — but whose
     /// [`fetch_increment`](NetworkCounter::fetch_increment) tickets may
     /// collide or skip.
-    pub fn with_network(network: T) -> Self {
+    pub fn with_network(network: CompiledBalancingNetwork) -> Self {
         let exits = (0..network.width())
             .map(|_| CachePadded::new(AtomicU64Register::new(0)))
             .collect();
@@ -119,7 +106,7 @@ impl<T: BalancingTopology> NetworkCounter<T> {
     /// with an arena-resident word (each already on its own line, so the
     /// [`CachePadded`] wrapper only keeps the handle struct's inline layout
     /// uniform with the private build).
-    pub fn with_network_in(network: T, arena: &Arc<Arena>) -> Self {
+    pub fn with_network_in(network: CompiledBalancingNetwork, arena: &Arc<Arena>) -> Self {
         let exits = (0..network.width())
             .map(|_| CachePadded::new(AtomicU64Register::new_in(arena, 0)))
             .collect();
@@ -132,7 +119,7 @@ impl<T: BalancingTopology> NetworkCounter<T> {
     }
 
     /// The underlying balancing network.
-    pub fn network(&self) -> &T {
+    pub fn network(&self) -> &CompiledBalancingNetwork {
         &self.network
     }
 
@@ -203,7 +190,16 @@ impl<T: BalancingTopology> NetworkCounter<T> {
     }
 }
 
-impl<T: BalancingTopology> fmt::Debug for NetworkCounter<T> {
+impl Default for NetworkCounter {
+    /// A width-8 bitonic network counter — wide enough to spread the
+    /// contention of a typical thread count, shallow enough (6 stages) to
+    /// keep the uncontended latency low.
+    fn default() -> Self {
+        Self::new(CountingFamily::Bitonic, 8)
+    }
+}
+
+impl fmt::Debug for NetworkCounter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetworkCounter")
             .field("width", &self.width())

@@ -16,12 +16,13 @@
 //!
 //! * [`Balancer`] — the primitive: one atomic word toggled per token, with
 //!   step accounting through `shmem` ([`StepKind::Balancer`]).
-//! * [`BalancingNetwork`] — any [`ComparatorSchedule`] reinterpreted as
-//!   balancer wiring (the interpreted reference engine).
-//! * [`CompiledBalancingNetwork`] — the fast path over
+//! * [`CompiledBalancingNetwork`] — any [`ComparatorSchedule`]
+//!   reinterpreted as balancer wiring and lowered onto
 //!   [`CompiledSchedule`](sortnet::compiled::CompiledSchedule)'s flat
 //!   wire-map and dense-CSR arrays: O(1) per-stage traversal, balancers in a
-//!   flat slab indexed by dense slot.
+//!   flat slab indexed by dense slot. It is the one balancing-network
+//!   engine; the [`network`] module holds its routing rule and the
+//!   balancing-network contract tests.
 //! * [`CountingFamily`] — the wirings certified to count: bitonic and
 //!   periodic, both at power-of-two widths. Batcher's odd-even merge and
 //!   the one-pass transposition wiring provably miscount and are rejected
@@ -82,7 +83,6 @@ pub use balancer::{Balancer, BalancerSlot};
 pub use compiled::CompiledBalancingNetwork;
 pub use counter::NetworkCounter;
 pub use family::{CountingFamily, UncertifiedWiring};
-pub use network::{BalancingNetwork, BalancingTopology};
 pub use prism::{Prism, PrismOutcome};
 pub use verify::{
     has_step_property, is_smooth, sequential_step_property, simulate_tokens,

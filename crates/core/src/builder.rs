@@ -5,7 +5,7 @@
 //! `RenamingNetwork::new(odd_even_network(n))`, …). The
 //! [`RenamingBuilder`] replaces those entry points with one fluent surface
 //! that selects the algorithm, the capacity, the sorting-network family and
-//! the comparator engine, and returns the object behind `Arc<dyn Renaming>`
+//! the comparator kind, and returns the object behind `Arc<dyn Renaming>`
 //! — or, via [`RenamingBuilder::build_long_lived`], behind
 //! `Arc<dyn LongLivedRenaming>` with a [`Recycler`] layered on top.
 //!
@@ -29,11 +29,10 @@ use crate::adaptive::AdaptiveRenaming;
 use crate::batched::BatchedRecycler;
 use crate::bit_batching::BitBatchingRenaming;
 use crate::error::RenamingError;
-use crate::free_list::FreeListKind;
 use crate::lease::LongLivedRenaming;
 use crate::linear_probe::LinearProbeRenaming;
 use crate::recycler::Recycler;
-use crate::renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+use crate::renaming_network::RenamingNetwork;
 use crate::sharded::ShardedRecycler;
 use crate::traits::Renaming;
 use shmem::adversary::ExecConfig;
@@ -61,16 +60,6 @@ pub enum Algorithm {
     LinearProbe,
 }
 
-/// The comparator-storage engine for [`Algorithm::Network`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The compiled flat wire-map + lock-free comparator-slab engine.
-    #[default]
-    Compiled,
-    /// The legacy `RwLock<HashMap>` engine, kept for benchmark comparison.
-    Locked,
-}
-
 /// The test-and-set implementation placed at comparators and name slots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ComparatorKind {
@@ -94,12 +83,9 @@ pub struct RenamingBuilder {
     capacity: Option<usize>,
     max_concurrent: Option<usize>,
     family: NetworkFamily,
-    engine: EngineKind,
     comparators: ComparatorKind,
     adaptive_level: Option<usize>,
-    probe_multiplier: usize,
     shards: usize,
-    free_list: FreeListKind,
     lease_batch: usize,
     arena: Option<Arc<Arena>>,
     seed: u64,
@@ -112,12 +98,9 @@ impl Default for RenamingBuilder {
             capacity: None,
             max_concurrent: None,
             family: NetworkFamily::default(),
-            engine: EngineKind::default(),
             comparators: ComparatorKind::default(),
             adaptive_level: None,
-            probe_multiplier: 3,
             shards: 1,
-            free_list: FreeListKind::default(),
             lease_batch: 8,
             arena: None,
             seed: 0,
@@ -135,7 +118,7 @@ impl dyn Renaming {
 
 impl RenamingBuilder {
     /// Creates a builder with the default configuration: §6 adaptive strong
-    /// renaming on the compiled engine with randomized comparators.
+    /// renaming with randomized comparators.
     pub fn new() -> Self {
         Self::default()
     }
@@ -189,12 +172,6 @@ impl RenamingBuilder {
         self
     }
 
-    /// Selects the comparator-storage engine ([`Algorithm::Network`] only).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Selects the test-and-set implementation.
     pub fn comparators(mut self, comparators: ComparatorKind) -> Self {
         self.comparators = comparators;
@@ -214,13 +191,6 @@ impl RenamingBuilder {
         self
     }
 
-    /// Overrides BitBatching's `3 log n` probes-per-batch constant with
-    /// `multiplier · log n`.
-    pub fn probe_multiplier(mut self, multiplier: usize) -> Self {
-        self.probe_multiplier = multiplier;
-        self
-    }
-
     /// Shards the long-lived object produced by
     /// [`RenamingBuilder::build_long_lived`] over `shards` independent
     /// recyclers ([`ShardedRecycler`]): each shard gets its own inner
@@ -235,15 +205,6 @@ impl RenamingBuilder {
     /// only applies to the long-lived form.
     pub fn sharded(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Selects the free-list layout of the long-lived object produced by
-    /// [`RenamingBuilder::build_long_lived`]: the two-level hierarchical
-    /// bitmap (default, `O(1)` expected pop-minimum) or the flat scan
-    /// baseline (`O(capacity / 64)`).
-    pub fn free_list(mut self, kind: FreeListKind) -> Self {
-        self.free_list = kind;
         self
     }
 
@@ -318,8 +279,7 @@ impl RenamingBuilder {
     ///
     /// Returns [`RenamingError::InvalidConfiguration`] when the settings do
     /// not fit the selected algorithm (missing or too-small capacity, a
-    /// capacity on the unbounded adaptive algorithm, the locked engine on a
-    /// non-network algorithm).
+    /// capacity on the unbounded adaptive algorithm).
     pub fn build(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
         if self.shards > 1 {
             return Err(RenamingError::InvalidConfiguration {
@@ -332,11 +292,6 @@ impl RenamingBuilder {
     /// Builds one one-shot object ignoring the sharding knob (each shard of
     /// a sharded long-lived object is one of these).
     fn build_one(&self) -> Result<Arc<dyn Renaming>, RenamingError> {
-        if self.engine == EngineKind::Locked && self.algorithm != Algorithm::Network {
-            return Err(RenamingError::InvalidConfiguration {
-                reason: "the locked engine only applies to fixed renaming networks",
-            });
-        }
         match self.algorithm {
             Algorithm::Adaptive => {
                 if self.capacity.is_some() {
@@ -358,42 +313,23 @@ impl RenamingBuilder {
             Algorithm::Network => {
                 let width = self.bounded_capacity(2)?;
                 let schedule = self.family.schedule(width);
-                Ok(match (self.engine, self.comparators) {
-                    (EngineKind::Compiled, ComparatorKind::Randomized) => {
+                Ok(match self.comparators {
+                    ComparatorKind::Randomized => {
                         Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule))
                     }
-                    (EngineKind::Compiled, ComparatorKind::Hardware) => {
+                    ComparatorKind::Hardware => {
                         Arc::new(RenamingNetwork::<_, HardwareTas>::new(schedule))
-                    }
-                    (EngineKind::Locked, ComparatorKind::Randomized) => {
-                        Arc::new(LockedRenamingNetwork::<_, TwoProcessTas>::new(schedule))
-                    }
-                    (EngineKind::Locked, ComparatorKind::Hardware) => {
-                        Arc::new(LockedRenamingNetwork::<_, HardwareTas>::new(schedule))
                     }
                 })
             }
             Algorithm::BitBatching => {
                 let slots = self.bounded_capacity(2)?;
-                if self.probe_multiplier == 0 {
-                    return Err(RenamingError::InvalidConfiguration {
-                        reason: "the probe multiplier must be positive",
-                    });
-                }
                 Ok(match self.comparators {
                     ComparatorKind::Randomized => {
-                        Arc::new(BitBatchingRenaming::with_factory_and_multiplier(
-                            slots,
-                            RatRaceTas::new,
-                            self.probe_multiplier,
-                        ))
+                        Arc::new(BitBatchingRenaming::with_factory(slots, RatRaceTas::new))
                     }
                     ComparatorKind::Hardware => {
-                        Arc::new(BitBatchingRenaming::with_factory_and_multiplier(
-                            slots,
-                            HardwareTas::new,
-                            self.probe_multiplier,
-                        ))
+                        Arc::new(BitBatchingRenaming::with_factory(slots, HardwareTas::new))
                     }
                 })
             }
@@ -414,8 +350,8 @@ impl RenamingBuilder {
     /// Builds the configured object and wraps it in a [`Recycler`] — or,
     /// with [`RenamingBuilder::sharded`], builds one object per shard and
     /// wraps them in a [`ShardedRecycler`] — yielding a long-lived renaming
-    /// object whose leases recycle released names through the configured
-    /// [`FreeListKind`]. Unless [`RenamingBuilder::lease_batch`] is set to
+    /// object whose leases recycle released names through a lock-free
+    /// [`FreeList`](crate::free_list::FreeList). Unless [`RenamingBuilder::lease_batch`] is set to
     /// 1, the result is additionally wrapped in a [`BatchedRecycler`] that
     /// amortizes release traffic in batches (of 8 by default).
     ///
@@ -467,32 +403,14 @@ impl RenamingBuilder {
         let recycler: Arc<dyn LongLivedRenaming> = match (self.shards, &self.arena) {
             (1, None) => {
                 let inner = inners.into_iter().next().expect("one shard");
-                Arc::new(Recycler::with_free_list(
-                    inner,
-                    per_shard_max,
-                    self.free_list,
-                ))
+                Arc::new(Recycler::new(inner, per_shard_max))
             }
             (1, Some(arena)) => {
                 let inner = inners.into_iter().next().expect("one shard");
-                Arc::new(Recycler::with_free_list_in(
-                    inner,
-                    per_shard_max,
-                    self.free_list,
-                    arena,
-                ))
+                Arc::new(Recycler::new_in(inner, per_shard_max, arena))
             }
-            (_, None) => Arc::new(ShardedRecycler::with_free_list(
-                inners,
-                per_shard_max,
-                self.free_list,
-            )),
-            (_, Some(arena)) => Arc::new(ShardedRecycler::with_free_list_in(
-                inners,
-                per_shard_max,
-                self.free_list,
-                arena,
-            )),
+            (_, None) => Arc::new(ShardedRecycler::new(inners, per_shard_max)),
+            (_, Some(arena)) => Arc::new(ShardedRecycler::new_in(inners, per_shard_max, arena)),
         };
         if self.lease_batch > 1 {
             Ok(Arc::new(BatchedRecycler::new(recycler, self.lease_batch)))
@@ -520,13 +438,6 @@ mod tests {
         let configs: Vec<(&str, RenamingBuilder)> = vec![
             ("adaptive", RenamingBuilder::new().adaptive()),
             ("network", RenamingBuilder::new().network().capacity(16)),
-            (
-                "network-locked",
-                RenamingBuilder::new()
-                    .network()
-                    .capacity(16)
-                    .engine(EngineKind::Locked),
-            ),
             (
                 "network-hardware",
                 RenamingBuilder::new()
@@ -587,16 +498,8 @@ mod tests {
         ));
         let adaptive_capacity = <dyn Renaming>::builder().capacity(8).build();
         assert!(adaptive_capacity.is_err());
-        let locked_adaptive = <dyn Renaming>::builder().engine(EngineKind::Locked).build();
-        assert!(locked_adaptive.is_err());
         let tiny = <dyn Renaming>::builder().bit_batching().capacity(1).build();
         assert!(tiny.is_err());
-        let zero_mult = <dyn Renaming>::builder()
-            .bit_batching()
-            .capacity(8)
-            .probe_multiplier(0)
-            .build();
-        assert!(zero_mult.is_err());
         let no_bound = <dyn Renaming>::builder().build_long_lived();
         assert!(no_bound.is_err());
         let excess = <dyn Renaming>::builder()
@@ -705,22 +608,17 @@ mod tests {
 
     #[test]
     fn sharded_and_free_list_knobs_build_long_lived_objects() {
-        use crate::free_list::FreeListKind;
-
-        // Both free-list layouts serve churn identically at this scale.
-        for kind in [FreeListKind::Flat, FreeListKind::Hierarchical] {
-            let object = <dyn Renaming>::builder()
-                .network()
-                .capacity(16)
-                .max_concurrent(4)
-                .free_list(kind)
-                .build_long_lived()
-                .unwrap();
-            let mut ctx = ProcessCtx::new(ProcessId::new(0), 6);
-            for _ in 0..5 {
-                let lease = Arc::clone(&object).lease(&mut ctx).unwrap();
-                assert_eq!(lease.name(), 1, "{kind:?}");
-            }
+        // An unsharded object recycles its one name through the free list.
+        let object = <dyn Renaming>::builder()
+            .network()
+            .capacity(16)
+            .max_concurrent(4)
+            .build_long_lived()
+            .unwrap();
+        let mut ctx = ProcessCtx::new(ProcessId::new(0), 6);
+        for _ in 0..5 {
+            let lease = Arc::clone(&object).lease(&mut ctx).unwrap();
+            assert_eq!(lease.name(), 1);
         }
 
         // A 2-sharded object homes processes by identifier and splits the

@@ -33,7 +33,6 @@ use crate::traits::Renaming;
 use cnet::adaptive::AdaptiveNetworkCounter;
 use cnet::counter::NetworkCounter;
 use cnet::family::CountingFamily;
-use cnet::network::BalancingTopology;
 use maxreg::{MaxRegister, UnboundedMaxRegister};
 use shmem::adversary::ExecConfig;
 use shmem::process::ProcessCtx;
@@ -174,7 +173,7 @@ impl Counter for CasCounter {
 /// increment routes one token through the balancing network and
 /// fetch-adds the exit wire's local counter; a read sums the exit counters
 /// (quiescently consistent, not linearizable).
-impl<T: BalancingTopology> Counter for NetworkCounter<T> {
+impl Counter for NetworkCounter {
     fn increment(&self, ctx: &mut ProcessCtx) {
         NetworkCounter::increment(self, ctx);
     }

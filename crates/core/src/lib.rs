@@ -17,10 +17,7 @@
 //!   the test-and-sets live in a lock-free, lazily paged
 //!   [`ComparatorSlab`], so a comparator
 //!   play costs one wire-map load and a short radix walk on top of the
-//!   test-and-set itself. The
-//!   pre-compilation engine is kept as
-//!   [`LockedRenamingNetwork`] for
-//!   benchmark comparison.
+//!   test-and-set itself.
 //! * [`TempName`] — the §6.2 first stage: a randomized
 //!   splitter tree assigning temporary names polynomial in the contention `k`.
 //! * [`AdaptiveRenaming`] — the paper's headline
@@ -45,8 +42,8 @@
 //! algorithm, and [`Recycler`] turns any of them into a
 //! [`LongLivedRenaming`] object whose
 //! [`NameLease`] guards recycle released names through a
-//! lock-free [`FreeList`] (flat or two-level hierarchical bitmap, see
-//! [`FreeListKind`]). For shard-local throughput under heavy churn,
+//! lock-free pop-minimum [`FreeList`] (a two-level bitmap whose monotone
+//! summary level makes pop-minimum `O(1)` expected). For shard-local throughput under heavy churn,
 //! [`ShardedRecycler`] trades the tight namespace bound for a documented
 //! *loose* one (`.sharded(n)` on the builder), and [`BatchedRecycler`] —
 //! the builder's default under churn, `.lease_batch(n)` — parks releases in
@@ -102,12 +99,12 @@ pub mod traits;
 pub use adaptive::AdaptiveRenaming;
 pub use batched::BatchedRecycler;
 pub use bit_batching::BitBatchingRenaming;
-pub use builder::{Algorithm, ComparatorKind, EngineKind, RenamingBuilder};
+pub use builder::{Algorithm, ComparatorKind, RenamingBuilder};
 pub use comparator_slab::ComparatorSlab;
 pub use counter::{CasCounter, Counter, CounterBackend, CounterBuilder, MonotoneCounter};
 pub use error::RenamingError;
 pub use fetch_increment::BoundedFetchIncrement;
-pub use free_list::{FreeList, FreeListKind};
+pub use free_list::FreeList;
 pub use lease::{
     assert_loose_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
     NameLease,
@@ -116,7 +113,7 @@ pub use linear_probe::LinearProbeRenaming;
 pub use loose::LooseRenaming;
 pub use ltas::BoundedTas;
 pub use recycler::Recycler;
-pub use renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+pub use renaming_network::RenamingNetwork;
 pub use robust::RobustLeaseTable;
 pub use sharded::ShardedRecycler;
 pub use temp_name::TempName;

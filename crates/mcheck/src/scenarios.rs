@@ -22,7 +22,6 @@ use adaptive_renaming::robust::RobustLeaseTable;
 use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
 use cnet::counter::NetworkCounter;
 use cnet::family::CountingFamily;
-use cnet::network::BalancingTopology;
 use maxreg::unbounded::UnboundedMaxRegister;
 use maxreg::MaxRegister;
 use parking_lot::Mutex;

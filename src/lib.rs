@@ -33,13 +33,13 @@ pub mod prelude {
     pub use adaptive_renaming::adaptive::AdaptiveRenaming;
     pub use adaptive_renaming::batched::BatchedRecycler;
     pub use adaptive_renaming::bit_batching::BitBatchingRenaming;
-    pub use adaptive_renaming::builder::{Algorithm, ComparatorKind, EngineKind, RenamingBuilder};
+    pub use adaptive_renaming::builder::{Algorithm, ComparatorKind, RenamingBuilder};
     pub use adaptive_renaming::comparator_slab::ComparatorSlab;
     pub use adaptive_renaming::counter::{
         CasCounter, Counter, CounterBackend, CounterBuilder, MonotoneCounter,
     };
     pub use adaptive_renaming::fetch_increment::BoundedFetchIncrement;
-    pub use adaptive_renaming::free_list::{FreeList, FreeListKind};
+    pub use adaptive_renaming::free_list::FreeList;
     pub use adaptive_renaming::lease::{
         assert_loose_lease_namespace, assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming,
         NameLease,
@@ -48,13 +48,12 @@ pub mod prelude {
     pub use adaptive_renaming::loose::LooseRenaming;
     pub use adaptive_renaming::ltas::BoundedTas;
     pub use adaptive_renaming::recycler::Recycler;
-    pub use adaptive_renaming::renaming_network::{LockedRenamingNetwork, RenamingNetwork};
+    pub use adaptive_renaming::renaming_network::RenamingNetwork;
     pub use adaptive_renaming::sharded::ShardedRecycler;
     pub use adaptive_renaming::traits::{assert_tight_namespace, assert_unique_names, Renaming};
     pub use cnet::{
-        AdaptiveNetworkCounter, Balancer, BalancerSlot, BalancingNetwork, BalancingTopology,
-        CompiledBalancingNetwork, ContentionSensor, CountingFamily, NetworkCounter, Prism,
-        PrismOutcome,
+        AdaptiveNetworkCounter, Balancer, BalancerSlot, CompiledBalancingNetwork, ContentionSensor,
+        CountingFamily, NetworkCounter, Prism, PrismOutcome,
     };
     pub use shmem::adversary::{ArrivalSchedule, CrashPlan, ExecConfig, YieldPolicy};
     pub use shmem::executor::Executor;
