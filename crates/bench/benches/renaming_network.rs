@@ -17,7 +17,6 @@ use sortnet::batcher::odd_even_network;
 use std::sync::Arc;
 use std::time::Duration;
 use tas::hardware::HardwareTas;
-use tas::two_process::TwoProcessTas;
 
 fn ids(count: usize, namespace: usize) -> Vec<ProcessId> {
     (0..count)
@@ -50,8 +49,7 @@ fn bench_renaming_network(c: &mut Criterion) {
         let k = m / 4;
         group.bench_with_input(BenchmarkId::new("two_process_tas", m), &m, |b, &m| {
             b.iter(|| {
-                let network: Arc<RenamingNetwork<_, TwoProcessTas>> =
-                    Arc::new(RenamingNetwork::new(odd_even_network(m)));
+                let network = Arc::new(RenamingNetwork::new(odd_even_network(m)));
                 let outcome = Executor::new(ExecConfig::new(3)).run_with_ids(&ids(k, m), {
                     let network = Arc::clone(&network);
                     move |ctx| network.acquire(ctx).expect("ids fit")
@@ -61,8 +59,9 @@ fn bench_renaming_network(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hardware_tas", m), &m, |b, &m| {
             b.iter(|| {
-                let network: Arc<RenamingNetwork<_, HardwareTas>> =
-                    Arc::new(RenamingNetwork::new(odd_even_network(m)));
+                let network = Arc::new(RenamingNetwork::<HardwareTas>::with_tas(odd_even_network(
+                    m,
+                )));
                 let outcome = Executor::new(ExecConfig::new(3)).run_with_ids(&ids(k, m), {
                     let network = Arc::clone(&network);
                     move |ctx| network.acquire(ctx).expect("ids fit")
@@ -91,9 +90,9 @@ fn bench_traversal_batches(c: &mut Criterion) {
         &M,
         |b, &m| {
             b.iter(|| {
-                let networks: Arc<Vec<RenamingNetwork<_, HardwareTas>>> = Arc::new(
+                let networks: Arc<Vec<RenamingNetwork<HardwareTas>>> = Arc::new(
                     (0..ROUNDS)
-                        .map(|_| RenamingNetwork::new(odd_even_network(m)))
+                        .map(|_| RenamingNetwork::with_tas(odd_even_network(m)))
                         .collect(),
                 );
                 assert_eq!(run_batch(&networks, K, m), K);
@@ -105,7 +104,7 @@ fn bench_traversal_batches(c: &mut Criterion) {
         &M,
         |b, &m| {
             b.iter(|| {
-                let networks: Arc<Vec<RenamingNetwork<_, TwoProcessTas>>> = Arc::new(
+                let networks: Arc<Vec<RenamingNetwork>> = Arc::new(
                     (0..ROUNDS)
                         .map(|_| RenamingNetwork::new(odd_even_network(m)))
                         .collect(),

@@ -27,7 +27,6 @@
 #[cfg(all(unix, not(miri)))]
 mod harness {
     use adaptive_renaming::free_list::FreeList;
-    use adaptive_renaming::recovery::{recover, recover_with};
     use adaptive_renaming::robust::RobustLeaseTable;
     use adaptive_renaming::traits::assert_tight_namespace;
     use obs::FlightRecorder;
@@ -268,7 +267,8 @@ mod harness {
         let shared = build(&arena);
         let mut ctx = ProcessCtx::new(ProcessId::new(0), seed ^ 0xDEAD);
         obs::postmortem::install(Arc::clone(&shared.recorder));
-        let report = recover(&mut ctx, &shared.table, &[&shared.free]);
+        let report = shared.table.recover(&mut ctx);
+        let summary_repairs = shared.free.repair_summary();
         obs::postmortem::uninstall();
         if !report.won {
             return fail(format!("fresh attach lost the epoch CAS: {report:?}"));
@@ -326,7 +326,7 @@ mod harness {
                 return fail(format!("torn push of {torn} lost despite summary repair"));
             }
         }
-        if !torn_pushes.is_empty() && report.summary_repairs == 0 {
+        if !torn_pushes.is_empty() && summary_repairs == 0 {
             return fail("torn pushes injected but no summary repair reported".into());
         }
 
@@ -334,16 +334,12 @@ mod harness {
         let snapshot = shared.table.state_snapshot();
         let free_snapshot = shared.free.snapshot_words();
         let epoch = shared.table.last_recovered_epoch() + 1;
-        let second = recover_with(
-            &mut ctx,
-            &shared.table,
-            &[&shared.free],
-            epoch,
-            |_| true,
-            false,
-        );
-        if !second.won || second.reclaimed != 0 || second.quarantined != 0 {
-            return fail(format!("second recovery did work: {second:?}"));
+        let second = shared.table.recover_with(&mut ctx, epoch, |_| true, false);
+        let second_repairs = shared.free.repair_summary();
+        if !second.won || second.reclaimed != 0 || second.quarantined != 0 || second_repairs != 0 {
+            return fail(format!(
+                "second recovery did work: {second:?}, {second_repairs} summary repairs"
+            ));
         }
         if shared.table.state_snapshot() != snapshot
             || shared.free.snapshot_words() != free_snapshot

@@ -49,7 +49,7 @@ fn run_table<T: tas::TwoPartyTas + Default + 'static>(title: &str) -> Table {
         let k = (m / 4).max(2);
         let schedule = odd_even_network(m);
         let depth = ComparatorSchedule::depth(&schedule);
-        let network: Arc<RenamingNetwork<_, T>> = Arc::new(RenamingNetwork::new(schedule));
+        let network = Arc::new(RenamingNetwork::<T>::with_tas(schedule));
         let ids = scattered_ids(k, m, m as u64);
         let outcome = Executor::new(ExecConfig::new(m as u64)).run_with_ids(&ids, {
             let network = Arc::clone(&network);

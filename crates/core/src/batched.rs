@@ -36,6 +36,16 @@
 //! re-sweeps the stashes once before surfacing the error. (The bare
 //! recycler's admission has the same benign spurious-reject window.)
 //!
+//! # Misreleases
+//!
+//! A release of name 0 (never granted) or of a name already parked in its
+//! stripe is rejected and counted in [`BatchedRecycler::leaked_names`],
+//! like the bare recycler's rejected double releases: parking it would hand
+//! the name to a later lease, or to two of them. Every copy of a name maps
+//! to the same stripe, so one scan of that stash (fewer than `batch`
+//! entries) finds a duplicate. A double release whose first copy was
+//! already flushed to the inner object goes undetected here.
+//!
 //! The builder wraps every long-lived object in a batch-8 stash by default
 //! — [`RenamingBuilder::lease_batch`](crate::builder::RenamingBuilder::lease_batch)
 //! restores the bare tight recycler with `.lease_batch(1)`.
@@ -47,16 +57,14 @@ use shmem::pad::CachePadded;
 use shmem::process::ProcessCtx;
 use shmem::steps::StepKind;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default number of stash stripes: enough to keep release traffic from
+/// Number of stash stripes: enough to keep release traffic from
 /// serializing on one mutex at typical thread counts, few enough that the
-/// all-stripes sweep on a lease miss stays cheap.
-const DEFAULT_STRIPES: usize = 8;
-
-/// Upper limit on stripes: occupancy is tracked in one 64-bit word.
-const MAX_STRIPES: usize = 64;
+/// all-stripes sweep on a lease miss stays cheap. At most 64: occupancy is
+/// tracked in one 64-bit word.
+const STRIPES: usize = 8;
 
 /// Wraps a [`LongLivedRenaming`] object with striped release stashes that
 /// flush in batches — see the [module documentation](self) for the
@@ -74,7 +82,7 @@ const MAX_STRIPES: usize = 64;
 /// use std::sync::Arc;
 ///
 /// let inner: Arc<dyn LongLivedRenaming> = Arc::new(Recycler::new(
-///     RenamingNetwork::<_>::new(odd_even_network(16)),
+///     RenamingNetwork::new(odd_even_network(16)),
 ///     4,
 /// ));
 /// let batched = Arc::new(BatchedRecycler::new(inner, 4));
@@ -101,40 +109,28 @@ pub struct BatchedRecycler {
     /// sweep on the capacity-exceeded path, a spurious bit costs one lock).
     occupancy: CachePadded<AtomicU64>,
     batch: usize,
+    /// Rejected releases (see the module documentation's *Misreleases*).
+    leaked: AtomicUsize,
 }
 
 impl BatchedRecycler {
     /// Wraps `inner`, flushing each stash to the inner object once it holds
-    /// `batch` names, with the default stripe count.
+    /// `batch` names.
     ///
     /// # Panics
     ///
     /// Panics if `batch` is zero (use `batch == 1` — or no wrapper at all —
     /// for unbatched releases).
     pub fn new(inner: Arc<dyn LongLivedRenaming>, batch: usize) -> Self {
-        Self::with_stripes(inner, batch, DEFAULT_STRIPES)
-    }
-
-    /// Like [`BatchedRecycler::new`] with an explicit stripe count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` or `stripes` is zero, or if `stripes` exceeds 64
-    /// (occupancy is tracked in a single 64-bit word).
-    pub fn with_stripes(inner: Arc<dyn LongLivedRenaming>, batch: usize, stripes: usize) -> Self {
         assert!(batch >= 1, "a release batch needs at least one slot");
-        assert!(stripes >= 1, "a batched recycler needs at least one stripe");
-        assert!(
-            stripes <= MAX_STRIPES,
-            "a batched recycler tracks at most {MAX_STRIPES} stripes in its occupancy word"
-        );
         BatchedRecycler {
             inner,
-            stashes: (0..stripes)
+            stashes: (0..STRIPES)
                 .map(|_| CachePadded::new(Mutex::new(Vec::with_capacity(batch))))
                 .collect(),
             occupancy: CachePadded::new(AtomicU64::new(0)),
             batch,
+            leaked: AtomicUsize::new(0),
         }
     }
 
@@ -149,9 +145,10 @@ impl BatchedRecycler {
         self.batch
     }
 
-    /// The number of stash stripes.
-    pub fn stripes(&self) -> usize {
-        self.stashes.len()
+    /// Releases rejected as misuse: name 0, or a name already parked in its
+    /// stripe (a double release). Each is a no-op apart from this count.
+    pub fn leaked_names(&self) -> usize {
+        self.leaked.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter; no ordering dependency)
     }
 
     /// Names currently parked in stashes (not yet flushed to the inner
@@ -170,9 +167,8 @@ impl BatchedRecycler {
         if mask == 0 {
             return None;
         }
-        let stripes = self.stashes.len();
-        for offset in 0..stripes {
-            let index = (start + offset) % stripes;
+        for offset in 0..STRIPES {
+            let index = (start + offset) % STRIPES;
             if mask & (1 << index) != 0 {
                 if let Some(name) = self.pop_stripe(index) {
                     return Some(name);
@@ -187,9 +183,8 @@ impl BatchedRecycler {
     /// mask has not caught up with is the difference between recycling and a
     /// spurious rejection.
     fn pop_stashed_full(&self, start: usize) -> Option<usize> {
-        let stripes = self.stashes.len();
-        for offset in 0..stripes {
-            if let Some(name) = self.pop_stripe((start + offset) % stripes) {
+        for offset in 0..STRIPES {
+            if let Some(name) = self.pop_stripe((start + offset) % STRIPES) {
                 return Some(name);
             }
         }
@@ -238,7 +233,7 @@ impl LongLivedRenaming for BatchedRecycler {
         // the common case it is one uncontended mutex hand-off on one cache
         // line, comparable to the free-list pop it replaces.
         ctx.record(StepKind::ReadModifyWrite);
-        let home = ctx.id().as_usize() % self.stashes.len();
+        let home = ctx.id().as_usize() % STRIPES;
         if let Some(name) = self.pop_stashed(home) {
             obs::count(obs::Metric::BatchedStashHit);
             return Ok(name);
@@ -258,9 +253,13 @@ impl LongLivedRenaming for BatchedRecycler {
     }
 
     fn release_raw(&self, name: usize) {
-        let index = name % self.stashes.len();
+        let index = name % STRIPES;
         let drained = {
             let mut stash = self.stashes[index].lock();
+            if name == 0 || stash.contains(&name) {
+                self.leaked.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(diagnostic counter; no ordering dependency)
+                return;
+            }
             let was_empty = stash.is_empty();
             stash.push(name);
             if stash.len() >= self.batch {
@@ -307,8 +306,9 @@ impl fmt::Debug for BatchedRecycler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BatchedRecycler")
             .field("batch", &self.batch)
-            .field("stripes", &self.stashes.len())
+            .field("stripes", &STRIPES)
             .field("stashed", &self.stashed_names())
+            .field("leaked_names", &self.leaked_names())
             .field("live", &self.live_leases())
             .finish()
     }
@@ -324,14 +324,14 @@ mod tests {
     use shmem::process::{ProcessCtx, ProcessId};
     use sortnet::batcher::odd_even_network;
 
-    type NetworkRecycler = Recycler<RenamingNetwork<sortnet::network::ComparatorNetwork>>;
+    type NetworkRecycler = Recycler<RenamingNetwork>;
 
     fn batched(
         max_concurrent: usize,
         batch: usize,
     ) -> (Arc<BatchedRecycler>, Arc<NetworkRecycler>) {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(64)),
+            RenamingNetwork::new(odd_even_network(64)),
             max_concurrent,
         ));
         let inner: Arc<dyn LongLivedRenaming> = Arc::clone(&recycler) as _;
@@ -376,24 +376,42 @@ mod tests {
 
     #[test]
     fn a_full_stripe_flushes_as_one_batch() {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(64)),
-            8,
-        ));
-        let inner: Arc<dyn LongLivedRenaming> = Arc::clone(&recycler) as _;
-        // One stripe: every release lands in the same stash.
-        let object = Arc::new(BatchedRecycler::with_stripes(inner, 3, 1));
+        let (object, recycler) = batched(24, 3);
         let mut ctx = ctx(0, 2);
-        let names: Vec<usize> = (0..3)
-            .map(|_| object.lease_raw(&mut ctx).unwrap())
-            .collect();
-        object.release_raw(names[0]);
-        object.release_raw(names[1]);
+        // Sequential leases are tight: names 1..=17, of which 1, 9 and 17
+        // are congruent mod the stripe count and so share one stash.
+        for expected in 1..=17 {
+            assert_eq!(object.lease_raw(&mut ctx).unwrap(), expected);
+        }
+        object.release_raw(1);
+        object.release_raw(9);
         assert_eq!(recycler.free_names(), 0);
-        object.release_raw(names[2]); // third release fills the batch
+        object.release_raw(17); // third release fills the batch
         assert_eq!(object.stashed_names(), 0, "the whole stash flushed");
         assert_eq!(recycler.free_names(), 3);
-        assert_eq!(object.live_leases(), 0);
+        assert_eq!(object.live_leases(), 14);
+    }
+
+    #[test]
+    fn misreleases_are_rejected_and_counted() {
+        let (object, _recycler) = batched(4, 8);
+        let mut ctx = ctx(0, 5);
+        // Name 0 is never granted: parking it would hand it to a lease.
+        object.release_raw(0);
+        assert_eq!(object.leaked_names(), 1);
+        assert_eq!(object.stashed_names(), 0);
+        assert_ne!(object.lease_raw(&mut ctx).unwrap(), 0);
+        // A double release would give one name to two live leases.
+        let name = object.lease_raw(&mut ctx).unwrap();
+        object.release_raw(name);
+        object.release_raw(name);
+        assert_eq!(object.leaked_names(), 2);
+        assert_eq!(object.stashed_names(), 1);
+        let first = object.lease_raw(&mut ctx).unwrap();
+        let second = object.lease_raw(&mut ctx).unwrap();
+        assert_eq!(first, name);
+        assert_ne!(second, name, "one release, one regrant");
+        assert_eq!(object.live_leases(), 3);
     }
 
     #[test]
@@ -467,7 +485,6 @@ mod tests {
     fn accessors_and_debug_report_the_configuration() {
         let (object, _recycler) = batched(4, 8);
         assert_eq!(object.batch(), 8);
-        assert_eq!(object.stripes(), DEFAULT_STRIPES);
         assert_eq!(object.max_concurrent(), Some(4));
         assert_eq!(object.inner().max_concurrent(), Some(4));
         let rendered = format!("{object:?}");
@@ -481,21 +498,5 @@ mod tests {
         let (_, recycler) = batched(2, 1);
         let inner: Arc<dyn LongLivedRenaming> = recycler as _;
         let _ = BatchedRecycler::new(inner, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 stripes")]
-    fn more_stripes_than_occupancy_bits_are_rejected() {
-        let (_, recycler) = batched(2, 1);
-        let inner: Arc<dyn LongLivedRenaming> = recycler as _;
-        let _ = BatchedRecycler::with_stripes(inner, 2, 65);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stripe")]
-    fn zero_stripes_are_rejected() {
-        let (_, recycler) = batched(2, 1);
-        let inner: Arc<dyn LongLivedRenaming> = recycler as _;
-        let _ = BatchedRecycler::with_stripes(inner, 2, 0);
     }
 }

@@ -314,11 +314,9 @@ impl RenamingBuilder {
                 let width = self.bounded_capacity(2)?;
                 let schedule = self.family.schedule(width);
                 Ok(match self.comparators {
-                    ComparatorKind::Randomized => {
-                        Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule))
-                    }
+                    ComparatorKind::Randomized => Arc::new(RenamingNetwork::new(schedule)),
                     ComparatorKind::Hardware => {
-                        Arc::new(RenamingNetwork::<_, HardwareTas>::new(schedule))
+                        Arc::new(RenamingNetwork::<HardwareTas>::with_tas(schedule))
                     }
                 })
             }

@@ -234,8 +234,10 @@ impl FreeList {
     /// skip its word forever — lost capacity. Because summary flags are
     /// monotone (never cleared), repair is pure re-derivation: setting a
     /// flag that should be set cannot race any concurrent pusher or popper,
-    /// so this is safe to run at any time, not only during restart recovery
-    /// ([`crate::recovery::recover`] calls it on every win).
+    /// so this is safe to run at any time. The code that owns a list calls
+    /// it on restart, next to
+    /// [`RobustLeaseTable::recover`](crate::robust::RobustLeaseTable::recover),
+    /// which recovers the lease slots but not the free lists.
     pub fn repair_summary(&self) -> usize {
         let summary = self.flags();
         let mut repaired = 0;
@@ -250,6 +252,7 @@ impl FreeList {
                 repaired += 1;
             }
         }
+        obs::add(obs::Metric::RecoverSummaryRepairs, repaired as u64);
         repaired
     }
 
@@ -408,6 +411,17 @@ mod tests {
         assert!(list.push(5), "popped names can be pushed again");
         assert_eq!(list.pop_coherent(), Some(5));
         assert_eq!(list.pop_coherent(), None);
+    }
+
+    #[test]
+    fn summary_repair_makes_a_torn_push_poppable() {
+        let list = FreeList::new(256);
+        // A kill between a push's data fetch_or and its summary ensure
+        // leaves the data bit set behind an unflagged summary word.
+        assert!(list.inject_torn_push(130));
+        assert_eq!(list.pop(), None, "the torn push is invisible to pops");
+        assert_eq!(list.repair_summary(), 1);
+        assert_eq!(list.pop(), Some(130), "the repaired name is findable");
     }
 
     #[test]

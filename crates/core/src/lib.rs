@@ -88,7 +88,6 @@ pub mod lease;
 pub mod linear_probe;
 pub mod loose;
 pub mod ltas;
-pub mod recovery;
 pub mod recycler;
 pub mod renaming_network;
 pub mod robust;

@@ -4,10 +4,11 @@
 //! stage as final names already solves the *loose* adaptive renaming problem
 //! (namespace polynomial in `k`, here `O(k²)` with high probability) in
 //! `O(log k)` steps — this is essentially the adaptive loose algorithm of
-//! Alistarh et al. \[12\] that the paper builds on. It is included as a named
-//! object because it is the natural comparison point for the *tight*
-//! adaptive algorithm: the second (renaming-network) stage is exactly the
-//! price paid for shrinking the namespace from `O(k²)` to exactly `k`.
+//! Alistarh et al. \[12\] that the paper builds on. It is the natural
+//! reference point for the *tight* adaptive algorithm, though no experiment
+//! in this workspace measures it: the second (renaming-network) stage is
+//! exactly the price paid for shrinking the namespace from `O(k²)` to
+//! exactly `k`.
 
 use crate::error::RenamingError;
 use crate::temp_name::TempName;

@@ -75,7 +75,7 @@ const UNBOUNDED_FREELIST_HEADROOM: usize = 4;
 /// // A compiled renaming network over 16 wires, recycled for at most 4
 /// // concurrent holders.
 /// let recycler = Arc::new(Recycler::new(
-///     RenamingNetwork::<_>::new(odd_even_network(16)),
+///     RenamingNetwork::new(odd_even_network(16)),
 ///     4,
 /// ));
 /// let mut ctx = ProcessCtx::new(ProcessId::new(0), 1);
@@ -527,10 +527,7 @@ mod tests {
 
     #[test]
     fn sequential_churn_recycles_instead_of_growing() {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(32)),
-            4,
-        ));
+        let recycler = Arc::new(Recycler::new(RenamingNetwork::new(odd_even_network(32)), 4));
         let mut ctx = ctx(0, 9);
         for round in 0..20 {
             let lease = Arc::clone(&recycler).lease(&mut ctx).unwrap();
@@ -583,10 +580,7 @@ mod tests {
 
     #[test]
     fn lease_many_amortizes_admission_and_is_all_or_nothing() {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(32)),
-            4,
-        ));
+        let recycler = Arc::new(Recycler::new(RenamingNetwork::new(odd_even_network(32)), 4));
         let mut ctx = ctx(0, 3);
         let batch = Arc::clone(&recycler).lease_many(&mut ctx, 3).unwrap();
         let mut names: Vec<usize> = batch.iter().map(NameLease::name).collect();
@@ -613,10 +607,7 @@ mod tests {
 
     #[test]
     fn raw_batches_round_trip_with_one_seqlock_bump_per_batch() {
-        let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(odd_even_network(32)),
-            4,
-        ));
+        let recycler = Arc::new(Recycler::new(RenamingNetwork::new(odd_even_network(32)), 4));
         let mut ctx = ctx(0, 8);
         let mut names = Vec::new();
         recycler.lease_many_raw(&mut ctx, 4, &mut names).unwrap();
@@ -763,10 +754,7 @@ mod tests {
     #[test]
     fn concurrent_churn_yields_unique_live_names_in_bound() {
         for seed in 0..4 {
-            let recycler = Arc::new(Recycler::new(
-                RenamingNetwork::<_>::new(odd_even_network(64)),
-                8,
-            ));
+            let recycler = Arc::new(Recycler::new(RenamingNetwork::new(odd_even_network(64)), 8));
             let outcome = Executor::new(ExecConfig::new(seed)).run(8, {
                 let recycler = Arc::clone(&recycler);
                 move |ctx| {

@@ -128,7 +128,7 @@ pub struct TraversalReport {
 /// use std::sync::Arc;
 ///
 /// // 16 possible initial names, 5 participants with scattered identities.
-/// let network: Arc<RenamingNetwork<_>> = Arc::new(RenamingNetwork::new(odd_even_network(16)));
+/// let network = Arc::new(RenamingNetwork::new(odd_even_network(16)));
 /// let ids: Vec<ProcessId> = [0usize, 3, 7, 11, 15].iter().copied().map(ProcessId::new).collect();
 /// let outcome = Executor::new(ExecConfig::new(5)).run_with_ids(&ids, {
 ///     let network = Arc::clone(&network);
@@ -136,7 +136,7 @@ pub struct TraversalReport {
 /// });
 /// assert!(assert_tight_namespace(&outcome.results()).is_ok());
 /// ```
-pub struct RenamingNetwork<S: ComparatorSchedule, T: TwoPartyTas + Default = TwoProcessTas> {
+pub struct RenamingNetwork<T: TwoPartyTas + Default = TwoProcessTas> {
     /// The schedule lowered into flat arrays: O(1) wire-map queries and the
     /// dense comparator index space addressing the slab. The source schedule
     /// is not retained — every query goes through the compiled form.
@@ -144,21 +144,26 @@ pub struct RenamingNetwork<S: ComparatorSchedule, T: TwoPartyTas + Default = Two
     /// One lazily created test-and-set per comparator, indexed by the
     /// compiled dense slot.
     slab: ComparatorSlab<T>,
-    _schedule: std::marker::PhantomData<S>,
 }
 
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> RenamingNetwork<S, T> {
-    /// Creates a renaming network over the given sorting network, compiling
-    /// its schedule and pre-sizing the comparator slab (one empty cell per
-    /// comparator; the objects themselves stay lazy).
-    pub fn new(schedule: S) -> Self {
+impl RenamingNetwork {
+    /// Creates a renaming network over the given sorting network with the
+    /// default [`TwoProcessTas`] at its comparators (see
+    /// [`RenamingNetwork::with_tas`]).
+    pub fn new(schedule: impl ComparatorSchedule) -> Self {
+        Self::with_tas(schedule)
+    }
+}
+
+impl<T: TwoPartyTas + Default> RenamingNetwork<T> {
+    /// Creates a renaming network over the given sorting network with `T` at
+    /// its comparators, compiling the schedule and pre-sizing the
+    /// comparator slab (one empty cell per comparator; the objects
+    /// themselves stay lazy).
+    pub fn with_tas(schedule: impl ComparatorSchedule) -> Self {
         let compiled = CompiledSchedule::compile(&schedule);
         let slab = ComparatorSlab::new(compiled.size());
-        RenamingNetwork {
-            compiled,
-            slab,
-            _schedule: std::marker::PhantomData,
-        }
+        RenamingNetwork { compiled, slab }
     }
 
     /// The size of the initial namespace (number of input ports).
@@ -231,7 +236,7 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> RenamingNetwork<S, T> {
     }
 }
 
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> fmt::Debug for RenamingNetwork<S, T> {
+impl<T: TwoPartyTas + Default> fmt::Debug for RenamingNetwork<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RenamingNetwork")
             .field("namespace", &self.namespace())
@@ -242,7 +247,7 @@ impl<S: ComparatorSchedule, T: TwoPartyTas + Default> fmt::Debug for RenamingNet
     }
 }
 
-impl<S: ComparatorSchedule, T: TwoPartyTas + Default> Renaming for RenamingNetwork<S, T> {
+impl<T: TwoPartyTas + Default> Renaming for RenamingNetwork<T> {
     fn acquire(&self, ctx: &mut ProcessCtx) -> Result<usize, RenamingError> {
         self.acquire_with_report(ctx).map(|report| report.name)
     }
@@ -288,7 +293,7 @@ mod tests {
     #[test]
     fn solo_process_gets_name_one_from_any_port() {
         for port in [0usize, 3, 7, 12, 15] {
-            let network = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(16));
+            let network = RenamingNetwork::new(odd_even_network(16));
             let mut ctx = ProcessCtx::new(ProcessId::new(port), 3);
             let report = network.acquire_with_report(&mut ctx).unwrap();
             assert_eq!(report.name, 1, "port {port}");
@@ -298,7 +303,7 @@ mod tests {
 
     #[test]
     fn identifiers_outside_the_namespace_are_rejected() {
-        let network = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(8));
+        let network = RenamingNetwork::new(odd_even_network(8));
         let mut ctx = ProcessCtx::new(ProcessId::new(8), 0);
         assert_eq!(
             network.acquire(&mut ctx),
@@ -311,7 +316,7 @@ mod tests {
 
     #[test]
     fn sequential_arrivals_get_a_tight_namespace() {
-        let network = RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(16));
+        let network = RenamingNetwork::new(odd_even_network(16));
         let mut names = Vec::new();
         for port in [15usize, 2, 9, 0, 7] {
             let mut ctx = ProcessCtx::new(ProcessId::new(port), 5);
@@ -323,9 +328,7 @@ mod tests {
     #[test]
     fn concurrent_arrivals_get_a_tight_namespace() {
         for seed in 0..8 {
-            let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-                32,
-            )));
+            let network = Arc::new(RenamingNetwork::new(odd_even_network(32)));
             let ids = scattered_ids(10, 32, seed);
             let config = ExecConfig::new(seed)
                 .with_yield_policy(YieldPolicy::Probabilistic(0.2))
@@ -342,9 +345,7 @@ mod tests {
     #[test]
     fn full_load_is_a_permutation_of_the_namespace() {
         let namespace = 16;
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-            namespace,
-        )));
+        let network = Arc::new(RenamingNetwork::new(odd_even_network(namespace)));
         let ids: Vec<ProcessId> = (0..namespace).map(ProcessId::new).collect();
         let outcome = Executor::new(ExecConfig::new(3)).run_with_ids(&ids, {
             let network = Arc::clone(&network);
@@ -355,8 +356,9 @@ mod tests {
 
     #[test]
     fn hardware_comparators_give_the_deterministic_variant() {
-        let network: Arc<RenamingNetwork<_, HardwareTas>> =
-            Arc::new(RenamingNetwork::new(odd_even_network(16)));
+        let network = Arc::new(RenamingNetwork::<HardwareTas>::with_tas(odd_even_network(
+            16,
+        )));
         let ids = scattered_ids(6, 16, 99);
         let outcome = Executor::new(ExecConfig::new(4)).run_with_ids(&ids, {
             let network = Arc::clone(&network);
@@ -368,9 +370,7 @@ mod tests {
     #[test]
     fn crashed_processes_never_break_uniqueness() {
         for seed in 0..5 {
-            let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-                32,
-            )));
+            let network = Arc::new(RenamingNetwork::new(odd_even_network(32)));
             let ids = scattered_ids(16, 32, seed + 100);
             let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
                 prob: 0.3,
@@ -392,7 +392,7 @@ mod tests {
     fn comparators_played_is_bounded_by_the_network_depth() {
         let schedule = odd_even_network(64);
         let depth = sortnet::schedule::ComparatorSchedule::depth(&schedule);
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(schedule));
+        let network = Arc::new(RenamingNetwork::new(schedule));
         let ids = scattered_ids(20, 64, 7);
         let outcome = Executor::new(ExecConfig::new(7)).run_with_ids(&ids, {
             let network = Arc::clone(&network);
@@ -410,9 +410,7 @@ mod tests {
     fn slower_networks_still_rename_correctly() {
         // The transposition network has Θ(n) depth but is still a sorting
         // network, so renaming over it must still be tight.
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(
-            transposition_network(12),
-        ));
+        let network = Arc::new(RenamingNetwork::new(transposition_network(12)));
         let ids = scattered_ids(12, 12, 42);
         let outcome = Executor::new(ExecConfig::new(6)).run_with_ids(&ids, {
             let network = Arc::clone(&network);
@@ -423,9 +421,7 @@ mod tests {
 
     #[test]
     fn comparator_allocation_stays_lazy_and_bounded() {
-        let network = Arc::new(RenamingNetwork::<_, TwoProcessTas>::new(odd_even_network(
-            64,
-        )));
+        let network = Arc::new(RenamingNetwork::new(odd_even_network(64)));
         assert_eq!(
             network.allocated_comparators(),
             0,
@@ -459,7 +455,7 @@ mod tests {
         // takes through `trace`: the r-th arrival exits on wire r - 1, having
         // played exactly the comparators its key meets.
         for seed in 0..4 {
-            let network = RenamingNetwork::<_, HardwareTas>::new(odd_even_network(32));
+            let network = RenamingNetwork::<HardwareTas>::with_tas(odd_even_network(32));
             let ports = scattered_ids(12, 32, seed + 50);
             let mut keys = vec![u64::MAX; 32];
             for (rank, port) in ports.iter().enumerate() {

@@ -55,12 +55,20 @@
 //!
 //! **Restart recovery.** Over a file-backed arena
 //! ([`shmem::arena::Arena::file_attach`]) a whole fleet can die and a
-//! fresh process attach later. [`crate::recovery::recover`] arbitrates via
-//! the table's recovery-epoch word (one winner per epoch), raises the
-//! **admission gate** so concurrent acquirers back off instead of
-//! reporting spurious exhaustion ([`crate::backoff::Backoff`]), sweeps
-//! dead owners, and moves torn slots (held with owner tag `0`) onto the
-//! **quarantine** bitmap, drained by the next sweep.
+//! fresh process attach later. [`RobustLeaseTable::recover`] arbitrates via
+//! the table's recovery-epoch word (exactly one winner per epoch; losers
+//! return at once, since recovery is idempotent), raises the **admission
+//! gate** so concurrent acquirers back off instead of reporting spurious
+//! exhaustion ([`crate::backoff::Backoff`]), reclaims dead owners' slots,
+//! and parks torn slots (held with owner tag `0`) on the **quarantine**
+//! bitmap, drained by the next sweep. `sweep`, `sweep_dead_processes` and
+//! recovery share one reclaim scan and one owner verdict, so every
+//! slot-word transition is made here. Free lists are not part of the
+//! table: their owner calls
+//! [`FreeList::repair_summary`](crate::free_list::FreeList::repair_summary).
+//! Idempotence (`recover ∘ recover = recover` on
+//! [`RobustLeaseTable::state_snapshot`]) is pinned by `tests/chaos_recovery.rs`
+//! and model-checked by `mcheck`'s `recover_race_2p` scenario.
 //!
 //! All shared state lives in an [`Arena`], one cache line per slot, so the
 //! table works unchanged over the process-private heap backend (tests,
@@ -91,32 +99,32 @@ const GEN_MASK: u64 = (1 << GEN_BITS) - 1;
 const HELD_BIT: u64 = 1 << 63;
 
 /// Packs a free slot word carrying the given generation.
-pub(crate) fn pack_free(generation: u64) -> u64 {
+fn pack_free(generation: u64) -> u64 {
     (generation & GEN_MASK) << GEN_SHIFT
 }
 
 /// Packs a held slot word carrying the given generation and owner.
-pub(crate) fn pack_held(generation: u64, owner: u32) -> u64 {
+fn pack_held(generation: u64, owner: u32) -> u64 {
     HELD_BIT | ((generation & GEN_MASK) << GEN_SHIFT) | owner as u64
 }
 
 /// Whether the slot word is currently held.
-pub(crate) fn is_held(word: u64) -> bool {
+fn is_held(word: u64) -> bool {
     word & HELD_BIT != 0
 }
 
 /// The generation stamped in the slot word.
-pub(crate) fn generation(word: u64) -> u64 {
+fn generation(word: u64) -> u64 {
     (word >> GEN_SHIFT) & GEN_MASK
 }
 
 /// The owner tag stamped in the slot word (meaningful while held).
-pub(crate) fn owner(word: u64) -> u32 {
+fn owner(word: u64) -> u32 {
     (word & OWNER_MASK) as u32
 }
 
 /// The successor generation, wrapping within the 31-bit field.
-pub(crate) fn next_generation(generation: u64) -> u64 {
+fn next_generation(generation: u64) -> u64 {
     generation.wrapping_add(1) & GEN_MASK
 }
 
@@ -134,9 +142,23 @@ const TAG_SLOT_SHIFT: u32 = 24;
 /// Mask of the generation bits a tag can carry.
 const TAG_GEN_MASK: u32 = (1 << TAG_SLOT_SHIFT) - 1;
 
-/// How [`RobustLeaseTable::tag_status`] classifies an owner tag.
+/// The telemetry a freed slot is counted under: the counter bumped and the
+/// flight-recorder event kind recorded.
+type Reclaim = (obs::Metric, obs::EventKind);
+/// Frees made by a sweep or a quarantine drain.
+const SWEPT: Reclaim = (obs::Metric::RobustSwept, obs::EventKind::SweepReclaimed);
+/// Frees made by a recovery scan.
+const RECOVERED: Reclaim = (obs::Metric::RecoverReclaimed, obs::EventKind::Recovered);
+
+/// The operating system's liveness verdict on a registered pid.
+#[cfg(all(unix, not(miri)))]
+fn os_process_dead(pid: u32) -> bool {
+    !shmem::arena::os_process_alive(pid)
+}
+
+/// How the owner verdict classifies an owner tag against the registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TagStatus {
+enum TagStatus {
     /// A small in-process tag (below `2^24`), never issued by the registry.
     /// The OS sweep cannot prove its owner dead and leaves its leases alone.
     Raw,
@@ -145,6 +167,22 @@ pub enum TagStatus {
     Stale,
     /// A current registration; the carried value is the registered OS pid.
     Registered(u32),
+}
+
+/// What one [`RobustLeaseTable::recover_with`] call did (all counts zero
+/// unless it [won](RecoveryReport::won) the epoch).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Whether this caller won the epoch CAS and ran the scan.
+    pub won: bool,
+    /// The epoch claimed (or already held by a previous recovery).
+    pub epoch: u64,
+    /// Names reclaimed from dead owners by the scan.
+    pub reclaimed: usize,
+    /// Torn slots newly parked on the quarantine list.
+    pub quarantined: usize,
+    /// Distinct dead registered pids encountered (postmortem candidates).
+    pub dead_pids: Vec<u32>,
 }
 
 /// Proof of a process's registration with a [`RobustLeaseTable`]: the
@@ -216,7 +254,7 @@ pub struct RobustLeaseTable {
     /// recovery does not surface as spurious `CapacityExceeded` to callers
     /// racing the reclamation.
     gate: AtomicU64Register,
-    /// Highest recovery epoch claimed so far: `claim_recovery` CASes it
+    /// Highest recovery epoch claimed so far: `recover_with` CASes it
     /// upward, so exactly one recoverer wins per epoch value.
     recovered_epoch: AtomicU64Register,
     /// Quarantine bitmap, one bit per name: set for slots recovery found
@@ -395,27 +433,8 @@ impl RobustLeaseTable {
     /// Correctness of the *namespace* (no two live holders of one name)
     /// relies on the predicate never declaring a live owner dead; the
     /// exactly-once transition holds regardless.
-    pub fn sweep(&self, ctx: &mut ProcessCtx, mut is_dead: impl FnMut(u32) -> bool) -> usize {
-        let mut reclaimed = 0;
-        for (index, slot) in self.slots.iter().enumerate() {
-            let word = slot.read(ctx);
-            if is_held(word)
-                && is_dead(owner(word))
-                && slot
-                    .compare_and_swap(ctx, word, pack_free(generation(word)))
-                    .is_ok()
-            {
-                self.releases.fetch_add(ctx, 1);
-                reclaimed += 1;
-                obs::count(obs::Metric::RobustSwept);
-                obs::event(
-                    obs::EventKind::SweepReclaimed,
-                    (index + 1) as u64,
-                    owner(word) as u64,
-                );
-            }
-        }
-        reclaimed
+    pub fn sweep(&self, ctx: &mut ProcessCtx, is_dead: impl FnMut(u32) -> bool) -> usize {
+        self.reclaim_scan(ctx, false, is_dead, SWEPT).0
     }
 
     /// Sweeps with the operating system as the liveness oracle — the sweep
@@ -444,23 +463,196 @@ impl RobustLeaseTable {
     /// recorded events are dumped for inspection.
     #[cfg(all(unix, not(miri)))]
     pub fn sweep_dead_processes(&self, ctx: &mut ProcessCtx) -> usize {
-        let mut dead_pids: Vec<u32> = Vec::new();
-        let reclaimed = self.sweep(ctx, |tag| match self.tag_status(tag) {
-            TagStatus::Raw => false,
-            TagStatus::Stale => true,
-            TagStatus::Registered(pid) => {
-                let dead = !shmem::arena::os_process_alive(pid);
-                if dead && !dead_pids.contains(&pid) {
-                    dead_pids.push(pid);
-                }
-                dead
-            }
-        });
+        let mut dead_pids = Vec::new();
+        let (reclaimed, _) = self.reclaim_scan(
+            ctx,
+            false,
+            |tag| self.owner_is_dead(tag, &mut os_process_dead, &mut dead_pids),
+            SWEPT,
+        );
         let repaired = self.drain_quarantine(ctx);
         for pid in dead_pids {
             obs::postmortem::notify_dead(pid);
         }
         reclaimed + repaired
+    }
+
+    /// Recovers the table after attaching to an arena whose previous fleet
+    /// may have died — the backend-generic core of
+    /// [`RobustLeaseTable::recover`]. `epoch` arbitrates concurrent
+    /// recoverers: the recovery-epoch word is CASed upward, so exactly one
+    /// caller wins per epoch value and the losers return untouched. The
+    /// winner raises the admission gate, quarantines torn slots and frees
+    /// dead owners' slots. `is_dead_pid` judges a registered owner's pid;
+    /// `presume_all_dead` skips the judgment for whole-fleet restarts, where
+    /// *every* prior owner — raw tags included — is known gone.
+    ///
+    /// Deterministic given its inputs (no OS probes of its own), so the
+    /// model checker drives it directly.
+    pub fn recover_with(
+        &self,
+        ctx: &mut ProcessCtx,
+        epoch: u64,
+        mut is_dead_pid: impl FnMut(u32) -> bool,
+        presume_all_dead: bool,
+    ) -> RecoveryReport {
+        let timer = obs::start();
+        let mut seen = self.recovered_epoch.read(ctx);
+        while seen < epoch {
+            match self.recovered_epoch.compare_and_swap(ctx, seen, epoch) {
+                Ok(_) => break,
+                Err(actual) => seen = actual,
+            }
+        }
+        if seen >= epoch {
+            return RecoveryReport {
+                epoch: self.last_recovered_epoch(),
+                ..RecoveryReport::default()
+            };
+        }
+        obs::count(obs::Metric::RecoverRuns);
+        // Raise the admission gate around the scan.
+        self.gate.write(ctx, 1);
+        let mut dead_pids = Vec::new();
+        let (reclaimed, quarantined) = self.reclaim_scan(
+            ctx,
+            true,
+            |tag| presume_all_dead || self.owner_is_dead(tag, &mut is_dead_pid, &mut dead_pids),
+            RECOVERED,
+        );
+        self.gate.write(ctx, 0);
+        obs::finish(timer, obs::Metric::RecoverNs);
+        RecoveryReport {
+            won: true,
+            epoch,
+            reclaimed,
+            quarantined,
+            dead_pids,
+        }
+    }
+
+    /// Recovers the table after attaching by path — the OS-facing entry the
+    /// chaos harness and restartable deployments call before serving.
+    ///
+    /// * The epoch is the arena's attach epoch
+    ///   ([`shmem::arena::Arena::attach_epoch`]) when the table lives in a
+    ///   file-backed arena, else one past the table's last recovered epoch —
+    ///   so every fresh attach is entitled to one recovery run, and two
+    ///   attachers racing the *same* epoch resolve to one winner.
+    /// * Whole-fleet restarts are self-detected: if no registered pid probes
+    ///   alive, every held slot's owner is presumed dead, raw tags
+    ///   included. (A table nobody ever registered with counts as such a
+    ///   restart; cross-process deployments must register before acquiring
+    ///   for the detection to be sound.) Otherwise only provably dead owners
+    ///   (stale registrations, dead registered pids) are reclaimed —
+    ///   attaching to a *live* fleet recovers nothing it shouldn't.
+    /// * Every dead registered pid is reported to
+    ///   [`obs::postmortem::notify_dead`] (whether or not it still held
+    ///   leases), dumping its flight-recorder tail if one is installed.
+    #[cfg(all(unix, not(miri)))]
+    pub fn recover(&self, ctx: &mut ProcessCtx) -> RecoveryReport {
+        let epoch = self
+            .arena
+            .attach_epoch()
+            .unwrap_or_else(|| self.last_recovered_epoch() + 1);
+        let registered: Vec<u32> = self.registrations().iter().map(Registration::pid).collect();
+        let presume_all_dead = registered.iter().all(|&pid| os_process_dead(pid));
+        let mut report = self.recover_with(ctx, epoch, os_process_dead, presume_all_dead);
+        if report.won {
+            // Postmortems for every dead registration, not only those that
+            // still held leases — a process that crashed between release and
+            // exit still has a tail worth dumping.
+            for pid in registered {
+                if os_process_dead(pid) && !report.dead_pids.contains(&pid) {
+                    report.dead_pids.push(pid);
+                }
+            }
+            for &pid in &report.dead_pids {
+                obs::postmortem::notify_dead(pid);
+            }
+        }
+        report
+    }
+
+    /// The one reclaim scan behind [`sweep`](Self::sweep),
+    /// [`sweep_dead_processes`](Self::sweep_dead_processes) and
+    /// [`recover_with`](Self::recover_with). Reads every slot once and, for
+    /// each held one, either parks it on the quarantine list (a torn slot —
+    /// owner tag 0 — when `quarantine_torn`), frees it with the
+    /// `HELD(g) → FREE(g)` CAS (`is_dead` judges its owner gone), or keeps
+    /// it. Returns the names reclaimed and the slots newly quarantined.
+    fn reclaim_scan(
+        &self,
+        ctx: &mut ProcessCtx,
+        quarantine_torn: bool,
+        mut is_dead: impl FnMut(u32) -> bool,
+        reclaimed_as: Reclaim,
+    ) -> (usize, usize) {
+        let (mut reclaimed, mut quarantined) = (0, 0);
+        for (index, slot) in self.slots.iter().enumerate() {
+            let name = index + 1;
+            let word = slot.read(ctx);
+            if !is_held(word) {
+                continue;
+            }
+            if quarantine_torn && owner(word) == 0 {
+                // Torn: claimed but no owner published. Indeterminate — park
+                // it for the next sweep instead of guessing.
+                quarantined += usize::from(self.quarantine_name(ctx, name));
+            } else if is_dead(owner(word))
+                && self.free_slot(ctx, name, word, pack_free(generation(word)), reclaimed_as)
+            {
+                reclaimed += 1;
+            }
+        }
+        (reclaimed, quarantined)
+    }
+
+    /// Frees `name`'s slot with the single CAS `observed → freed` and, if it
+    /// lands, counts the completed `HELD → FREE` transition in the release
+    /// stamp and in telemetry. Returns whether this call made the
+    /// transition.
+    fn free_slot(
+        &self,
+        ctx: &mut ProcessCtx,
+        name: usize,
+        observed: u64,
+        freed: u64,
+        (metric, event): Reclaim,
+    ) -> bool {
+        let landed = self.slots[name - 1]
+            .compare_and_swap(ctx, observed, freed)
+            .is_ok();
+        if landed {
+            self.releases.fetch_add(ctx, 1);
+            obs::count(metric);
+            obs::event(event, name as u64, owner(observed) as u64);
+        }
+        landed
+    }
+
+    /// The owner verdict shared by every OS-judged scan: whether the owner
+    /// behind `tag` is provably gone. A raw in-process tag never is; a
+    /// stale registration always is; a current registration's pid is
+    /// judged by `is_dead_pid`, and each pid judged dead is collected once
+    /// into `dead_pids` for postmortem notification.
+    fn owner_is_dead(
+        &self,
+        tag: u32,
+        is_dead_pid: &mut impl FnMut(u32) -> bool,
+        dead_pids: &mut Vec<u32>,
+    ) -> bool {
+        match self.tag_status(tag) {
+            TagStatus::Raw => false,
+            TagStatus::Stale => true,
+            TagStatus::Registered(pid) => {
+                let dead = is_dead_pid(pid);
+                if dead && !dead_pids.contains(&pid) {
+                    dead_pids.push(pid);
+                }
+                dead
+            }
+        }
     }
 
     /// Registers `pid` with the table, claiming a registry slot and a fresh
@@ -486,13 +678,11 @@ impl RobustLeaseTable {
     /// additionally reclaiming registry slots whose pid no longer probes
     /// alive — a restart registers over its dead predecessors. The
     /// generation bump on reclaim is what keeps this sound: the dead
-    /// incarnation's leases carry the old generation and resolve as
-    /// [`TagStatus::Stale`].
+    /// incarnation's leases carry the old generation, so sweeps judge them
+    /// stale.
     #[cfg(all(unix, not(miri)))]
     pub fn register_current_process(&self) -> Result<Registration, RenamingError> {
-        self.claim_registry_slot(shmem::arena::os_pid(), |pid| {
-            !shmem::arena::os_process_alive(pid)
-        })
+        self.claim_registry_slot(shmem::arena::os_pid(), os_process_dead)
     }
 
     fn claim_registry_slot(
@@ -532,9 +722,8 @@ impl RobustLeaseTable {
         })
     }
 
-    /// Classifies an owner tag against the current registry (see
-    /// [`TagStatus`]).
-    pub fn tag_status(&self, tag: u32) -> TagStatus {
+    /// Classifies an owner tag against the current registry.
+    fn tag_status(&self, tag: u32) -> TagStatus {
         let slot = (tag >> TAG_SLOT_SHIFT) as usize;
         if slot == 0 {
             return TagStatus::Raw;
@@ -551,19 +740,14 @@ impl RobustLeaseTable {
         }
     }
 
-    /// The registered pid a tag currently resolves to, if any.
-    pub fn resolve_tag(&self, tag: u32) -> Option<u32> {
-        match self.tag_status(tag) {
-            TagStatus::Registered(pid) => Some(pid),
-            _ => None,
-        }
-    }
-
     /// The OS pid behind a held name's owner tag (harness/test inspection):
     /// `None` if the name is free or its tag does not resolve to a current
     /// registration.
     pub fn owner_pid(&self, name: usize) -> Option<u32> {
-        self.holder(name).and_then(|tag| self.resolve_tag(tag))
+        match self.tag_status(self.holder(name)?) {
+            TagStatus::Registered(pid) => Some(pid),
+            _ => None,
+        }
     }
 
     /// All current registrations, as `(registration, pid)`-bearing
@@ -584,52 +768,9 @@ impl RobustLeaseTable {
             .collect()
     }
 
-    /// Whether no registered process probes alive — the restart signature:
-    /// after a whole-fleet kill every registry pid is dead, which licenses
-    /// recovery to presume every held slot's owner gone. (A table nobody
-    /// ever registered with also reports `true`; cross-process deployments
-    /// must register before acquiring for restart detection to be sound.)
-    #[cfg(all(unix, not(miri)))]
-    pub fn no_registered_survivors(&self) -> bool {
-        self.registrations()
-            .iter()
-            .all(|registration| !shmem::arena::os_process_alive(registration.pid()))
-    }
-
-    /// Raises the admission gate: until released, acquirers that find the
-    /// table exhausted back off and retry instead of failing. Called by
-    /// recovery around its reclamation scan.
-    pub fn hold_admissions(&self, ctx: &mut ProcessCtx) {
-        self.gate.write(ctx, 1);
-    }
-
-    /// Lowers the admission gate.
-    pub fn release_admissions(&self, ctx: &mut ProcessCtx) {
-        self.gate.write(ctx, 0);
-    }
-
     /// Whether the admission gate is currently raised (inspection).
     pub fn admissions_gated(&self) -> bool {
         self.gate.peek() != 0
-    }
-
-    /// Claims the right to run recovery for `epoch`: CASes the recovery
-    /// epoch upward and returns whether **this caller** won. Exactly one
-    /// claimant wins per epoch value, so two attachers racing `recover`
-    /// with the same epoch serialize to one effective run (the loser
-    /// returns immediately — recovery is idempotent, so it has nothing to
-    /// wait for).
-    pub fn claim_recovery(&self, ctx: &mut ProcessCtx, epoch: u64) -> bool {
-        let mut seen = self.recovered_epoch.read(ctx);
-        loop {
-            if seen >= epoch {
-                return false;
-            }
-            match self.recovered_epoch.compare_and_swap(ctx, seen, epoch) {
-                Ok(_) => return true,
-                Err(actual) => seen = actual,
-            }
-        }
     }
 
     /// The highest recovery epoch claimed so far (inspection).
@@ -643,7 +784,7 @@ impl RobustLeaseTable {
     /// stamp and its publication — rather than guessing; the slot keeps its
     /// held flag (the name stays ungrantable) until the next sweep drains
     /// the list and repairs it.
-    pub fn quarantine_name(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
+    fn quarantine_name(&self, ctx: &mut ProcessCtx, name: usize) -> bool {
         assert!(
             (1..=self.capacity).contains(&name),
             "name {name} outside the table's 1..={} namespace",
@@ -679,7 +820,8 @@ impl RobustLeaseTable {
     /// slot, if still torn, is repaired `HELD(g, 0) → FREE(g + 1)` — the
     /// generation bump makes any straggler CAS against the torn word fail,
     /// exactly like a regrant. Returns the number of slots repaired.
-    pub fn drain_quarantine(&self, ctx: &mut ProcessCtx) -> usize {
+    #[cfg_attr(not(all(unix, not(miri))), allow(dead_code))]
+    fn drain_quarantine(&self, ctx: &mut ProcessCtx) -> usize {
         let mut repaired = 0;
         for (word_index, word) in self.quarantine.iter().enumerate() {
             loop {
@@ -692,22 +834,13 @@ impl RobustLeaseTable {
                     continue; // someone else drained a bit; re-read
                 }
                 let name = word_index * 64 + bit.trailing_zeros() as usize + 1;
-                let slot = self.slot(name);
-                let observed = slot.read(ctx);
+                let observed = self.slot(name).read(ctx);
+                let repair = pack_free(next_generation(generation(observed)));
                 if is_held(observed)
                     && owner(observed) == 0
-                    && slot
-                        .compare_and_swap(
-                            ctx,
-                            observed,
-                            pack_free(next_generation(generation(observed))),
-                        )
-                        .is_ok()
+                    && self.free_slot(ctx, name, observed, repair, SWEPT)
                 {
-                    self.releases.fetch_add(ctx, 1);
                     repaired += 1;
-                    obs::count(obs::Metric::RobustSwept);
-                    obs::event(obs::EventKind::SweepReclaimed, name as u64, 0);
                 }
             }
         }
@@ -740,17 +873,6 @@ impl RobustLeaseTable {
             .chain(self.quarantine.iter().map(AtomicU64Register::peek))
             .chain(std::iter::once(self.releases.peek() as u64))
             .collect()
-    }
-
-    /// The slot registers, for the recovery scan (same-crate only).
-    pub(crate) fn slot_registers(&self) -> &[AtomicU64Register] {
-        &self.slots
-    }
-
-    /// Counts a completed `HELD → FREE` transition performed externally by
-    /// the recovery scan (same-crate only).
-    pub(crate) fn note_transition(&self, ctx: &mut ProcessCtx) {
-        self.releases.fetch_add(ctx, 1);
     }
 
     /// The owner of a held name, or `None` if the name is free
@@ -966,7 +1088,6 @@ mod tests {
         );
         assert_eq!(table.tag_status(7), TagStatus::Raw);
         assert_eq!(table.tag_status(first.tag()), TagStatus::Registered(500));
-        assert_eq!(table.resolve_tag(first.tag()), Some(500));
 
         // Re-registering the same pid reuses the slot with a bumped
         // generation: the first incarnation's tag goes stale.
@@ -1075,7 +1196,7 @@ mod tests {
         let table = RobustLeaseTable::with_capacity(1);
         let mut ctx = ctx(0);
         table.acquire(&mut ctx, 1).unwrap();
-        table.hold_admissions(&mut ctx);
+        table.gate.write(&mut ctx, 1);
         assert!(table.admissions_gated());
         // Nobody will release: the bounded backoff must expire into the
         // ordinary capacity error, not spin forever.
@@ -1083,7 +1204,7 @@ mod tests {
             table.acquire(&mut ctx, 2),
             Err(RenamingError::CapacityExceeded { capacity: 1 })
         ));
-        table.release_admissions(&mut ctx);
+        table.gate.write(&mut ctx, 0);
         assert!(!table.admissions_gated());
     }
 
@@ -1094,13 +1215,13 @@ mod tests {
         let table = Arc::new(RobustLeaseTable::with_capacity(1));
         let mut ctx = ctx(0);
         let name = table.acquire(&mut ctx, 1).unwrap();
-        table.hold_admissions(&mut ctx);
+        table.gate.write(&mut ctx, 1);
         let releaser = {
             let table = Arc::clone(&table);
             std::thread::spawn(move || {
                 let mut ctx = ProcessCtx::new(ProcessId::new(1), 5);
                 table.release(&mut ctx, name);
-                table.release_admissions(&mut ctx);
+                table.gate.write(&mut ctx, 0);
             })
         };
         // Whether the release lands mid-scan (ordinary rescan) or during a
@@ -1162,5 +1283,78 @@ mod tests {
         assert_eq!(table.live_leases(), 0);
         assert_eq!(table.transitions(), granted);
         assert!(swept <= granted);
+    }
+
+    #[test]
+    fn recovery_reclaims_presumed_dead_owners_and_wins_once_per_epoch() {
+        let table = RobustLeaseTable::with_capacity(4);
+        let mut ctx = ctx(0);
+        let registration = table.register_process(4242).unwrap();
+        let a = table.acquire(&mut ctx, registration.tag()).unwrap();
+        let b = table.acquire(&mut ctx, registration.tag()).unwrap();
+
+        let report = table.recover_with(&mut ctx, 1, |_| true, true);
+        assert!(report.won);
+        assert_eq!(report.reclaimed, 2);
+        assert_eq!(table.holder(a), None);
+        assert_eq!(table.holder(b), None);
+        assert!(
+            !table.admissions_gated(),
+            "the gate is lowered on the way out"
+        );
+
+        // Same epoch again: the CAS is already claimed — nothing runs.
+        let again = table.recover_with(&mut ctx, 1, |_| true, true);
+        assert!(!again.won);
+        assert_eq!(again.reclaimed, 0);
+    }
+
+    #[test]
+    fn recovery_is_idempotent_on_the_observable_state() {
+        let table = RobustLeaseTable::with_capacity(8);
+        let mut ctx = ctx(0);
+        let registration = table.register_process(77).unwrap();
+        for _ in 0..3 {
+            table.acquire(&mut ctx, registration.tag()).unwrap();
+        }
+        table.inject_torn_slot(&mut ctx, 5);
+
+        let first = table.recover_with(&mut ctx, 1, |_| true, true);
+        assert!(first.won);
+        assert_eq!(first.quarantined, 1);
+        let snapshot = table.state_snapshot();
+
+        // A later epoch wins again but finds nothing left to change.
+        let second = table.recover_with(&mut ctx, 2, |_| true, true);
+        assert!(second.won);
+        assert_eq!(second.reclaimed, 0);
+        assert_eq!(second.quarantined, 0, "quarantining is idempotent");
+        assert_eq!(table.state_snapshot(), snapshot, "byte-identical state");
+
+        // The quarantined torn slot is repaired by the next sweep-style
+        // drain, after which the name is grantable exactly once.
+        assert_eq!(table.drain_quarantine(&mut ctx), 1);
+        assert_eq!(table.quarantined(), 0);
+        assert_eq!(table.acquire(&mut ctx, registration.tag()).unwrap(), 1);
+    }
+
+    #[test]
+    fn live_owners_survive_a_non_restart_recovery() {
+        let table = RobustLeaseTable::with_capacity(4);
+        let mut ctx = ctx(0);
+        let live = table.register_process(100).unwrap();
+        let dead = table.register_process(200).unwrap();
+        let live_name = table.acquire(&mut ctx, live.tag()).unwrap();
+        let dead_name = table.acquire(&mut ctx, dead.tag()).unwrap();
+        // A raw in-process lease is never provably dead.
+        let raw_name = table.acquire(&mut ctx, 7).unwrap();
+
+        let report = table.recover_with(&mut ctx, 1, |pid| pid == 200, false);
+        assert!(report.won);
+        assert_eq!(report.reclaimed, 1);
+        assert_eq!(report.dead_pids, vec![200]);
+        assert_eq!(table.holder(live_name), Some(live.tag()));
+        assert_eq!(table.holder(dead_name), None);
+        assert_eq!(table.holder(raw_name), Some(7));
     }
 }

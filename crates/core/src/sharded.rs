@@ -59,7 +59,7 @@ use std::sync::Arc;
 /// // Two shards of 8 names each, at most 2 concurrent leases per shard.
 /// let sharded = Arc::new(ShardedRecycler::new(
 ///     (0..2)
-///         .map(|_| RenamingNetwork::<_>::new(odd_even_network(8)))
+///         .map(|_| RenamingNetwork::new(odd_even_network(8)))
 ///         .collect(),
 ///     2,
 /// ));
@@ -367,12 +367,9 @@ mod tests {
     use shmem::process::ProcessId;
     use sortnet::batcher::odd_even_network;
 
-    fn networks(
-        shards: usize,
-        width: usize,
-    ) -> Vec<RenamingNetwork<sortnet::network::ComparatorNetwork>> {
+    fn networks(shards: usize, width: usize) -> Vec<RenamingNetwork> {
         (0..shards)
-            .map(|_| RenamingNetwork::<_>::new(odd_even_network(width)))
+            .map(|_| RenamingNetwork::new(odd_even_network(width)))
             .collect()
     }
 

@@ -2,8 +2,9 @@
 //!
 //! The paper's constructions deliberately avoid read-modify-write primitives;
 //! this baseline shows what a max register costs when compare-and-swap *is*
-//! allowed (a retry loop on a single word). Experiments use it as the
-//! hardware-assisted comparison point for the counter (E8).
+//! allowed (a retry loop on a single word). No experiment in this workspace
+//! measures it; the counter experiments (E8) compare against the hardware
+//! counter baseline `CasCounter` of the core crate instead.
 
 use crate::MaxRegister;
 use shmem::process::ProcessCtx;

@@ -12,8 +12,8 @@
 //!   doubling-capacity bounded registers, giving `O(log v)` steps for
 //!   operations involving values around `v`.
 //! * [`CasMaxRegister`] — a compare-and-swap baseline with `O(1)` expected
-//!   steps per operation under low contention, used by the experiments as the
-//!   "hardware RMW" comparison point.
+//!   steps per operation under low contention: what a max register costs
+//!   when a hardware read-modify-write is allowed.
 //!
 //! # Example
 //!

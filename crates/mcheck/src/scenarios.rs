@@ -16,7 +16,6 @@
 use adaptive_renaming::counter::MonotoneCounter;
 use adaptive_renaming::lease::{assert_tight_lease_namespace, LeaseRecord, LongLivedRenaming};
 use adaptive_renaming::linear_probe::LinearProbeRenaming;
-use adaptive_renaming::recovery::recover_with;
 use adaptive_renaming::recycler::Recycler;
 use adaptive_renaming::robust::RobustLeaseTable;
 use adaptive_renaming::traits::{assert_tight_namespace, Renaming};
@@ -881,7 +880,7 @@ fn build_recover_race() -> BuiltScenario {
     let body: ScenarioBody = Arc::new({
         let table = Arc::clone(&table);
         move |ctx| {
-            let report = recover_with(ctx, &table, &[], 1, |_| true, true);
+            let report = table.recover_with(ctx, 1, |_| true, true);
             u64::from(report.won) * 100 + report.reclaimed as u64 * 10 + report.quarantined as u64
         }
     });

@@ -28,7 +28,8 @@
 //!   first 64 bytes of the file hold a validated [`FileHeader`] — magic,
 //!   layout version, capacity, an attach-epoch counter bumped on every
 //!   attach, and a dirty flag that survives a crash — which is what makes
-//!   crash-consistent restart recovery possible (see `core::recovery`).
+//!   crash-consistent restart recovery possible (see
+//!   `RobustLeaseTable::recover` in the core crate).
 //!   An attached arena is opened in *preserve* mode: the `*_with`
 //!   allocators claim offsets in construction order but skip their
 //!   initializing writes, so re-running a structure's `*_in` constructor

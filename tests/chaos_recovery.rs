@@ -1,17 +1,18 @@
 //! Recovery idempotence and epoch-arbitration properties.
 //!
-//! The restart-recovery scan ([`adaptive_renaming::recovery`]) promises
+//! The restart-recovery scan ([`RobustLeaseTable::recover_with`]) promises
 //! `recover ∘ recover = recover`: running it again — at a later epoch, or
 //! raced from a second fresh attacher at the *same* epoch — must not
-//! change the observable lease state ([`RobustLeaseTable::state_snapshot`])
-//! or the free-list words. These tests pin that over randomized crash
-//! states (live and dead owners, torn lease slots, torn free-list pushes)
-//! and over a real two-thread race for the epoch CAS.
+//! change the observable lease state ([`RobustLeaseTable::state_snapshot`]).
+//! Free lists recover beside it through [`FreeList::repair_summary`], which
+//! must be idempotent in the same way on the free-list words. These tests
+//! pin that over randomized crash states (live and dead owners, torn lease
+//! slots, torn free-list pushes) and over a real two-thread race for the
+//! epoch CAS.
 
 use adaptive_renaming::free_list::FreeList;
 use adaptive_renaming::lease::LongLivedRenaming;
-use adaptive_renaming::recovery::{recover_with, RecoveryReport};
-use adaptive_renaming::robust::RobustLeaseTable;
+use adaptive_renaming::robust::{RecoveryReport, RobustLeaseTable};
 use proptest::prelude::*;
 use shmem::process::{ProcessCtx, ProcessId};
 use std::sync::Arc;
@@ -78,24 +79,26 @@ proptest! {
 
         let is_dead = |pid: u32| dead_mask >> (pid - 1000) & 1 == 1;
         let presume_all_dead = presume == 1;
-        let first = recover_with(&mut driver, &table, &[&free], 1, is_dead, presume_all_dead);
+        let first = table.recover_with(&mut driver, 1, is_dead, presume_all_dead);
+        let first_repairs = free.repair_summary();
         prop_assert!(first.won);
         prop_assert_eq!(first.quarantined, injected);
         if tore_push {
-            prop_assert!(first.summary_repairs >= 1, "torn push not re-flagged");
+            prop_assert!(first_repairs >= 1, "torn push not re-flagged");
         }
 
         let snapshot = table.state_snapshot();
         let free_words = free.snapshot_words();
 
-        let second = recover_with(&mut driver, &table, &[&free], 2, is_dead, presume_all_dead);
+        let second = table.recover_with(&mut driver, 2, is_dead, presume_all_dead);
+        prop_assert_eq!(free.repair_summary(), 0, "second repair re-flagged");
         prop_assert!(second.won);
         prop_assert_eq!(second.reclaimed, 0, "second recovery re-reclaimed");
         prop_assert_eq!(second.quarantined, 0, "second recovery re-quarantined");
         prop_assert_eq!(table.state_snapshot(), snapshot.clone());
         prop_assert_eq!(free.snapshot_words(), free_words.clone());
 
-        let replay = recover_with(&mut driver, &table, &[&free], 2, is_dead, presume_all_dead);
+        let replay = table.recover_with(&mut driver, 2, is_dead, presume_all_dead);
         prop_assert!(!replay.won, "an already-claimed epoch was re-won");
         prop_assert_eq!(replay.reclaimed, 0);
         prop_assert_eq!(table.state_snapshot(), snapshot);
@@ -116,16 +119,13 @@ fn racing_fresh_attachers_serialize_to_one_recovery() {
         for _ in 0..8 {
             table.acquire(&mut driver, registration.tag()).unwrap();
         }
-        let free = FreeList::new(16);
-
         let reports: Vec<RecoveryReport> = std::thread::scope(|scope| {
             let handles: Vec<_> = (1..=2)
                 .map(|id| {
                     let table = Arc::clone(&table);
-                    let free = &free;
                     scope.spawn(move || {
                         let mut attacher = ctx(id, round ^ id as u64);
-                        recover_with(&mut attacher, &table, &[free], 1, |_| true, true)
+                        table.recover_with(&mut attacher, 1, |_| true, true)
                     })
                 })
                 .collect();

@@ -236,9 +236,9 @@ fn renaming_network_and_adaptive_renaming_agree_on_tightness_for_shared_ids() {
         .map(ProcessId::new)
         .collect();
 
-    let bounded: Arc<RenamingNetwork<_>> = Arc::new(RenamingNetwork::new(
-        sortnet::batcher::odd_even_network(256),
-    ));
+    let bounded = Arc::new(RenamingNetwork::new(sortnet::batcher::odd_even_network(
+        256,
+    )));
     let outcome = Executor::new(ExecConfig::new(31)).run_with_ids(&ids, {
         let bounded = Arc::clone(&bounded);
         move |ctx| bounded.acquire(ctx).unwrap()

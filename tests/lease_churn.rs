@@ -8,9 +8,10 @@
 //! `assert_tight_lease_namespace`. The sharded variants run the same churn
 //! against a `ShardedRecycler` and check the relaxed guarantee with
 //! `assert_loose_lease_namespace`; the builder-default `BatchedRecycler`
-//! variant checks uniqueness and the `max_concurrent` bound (batching
-//! deliberately trades away per-grant tightness); the free-list properties
-//! pin the two-level bitmap to a `BTreeSet` model op for op.
+//! variants check uniqueness and the `max_concurrent` bound, with and
+//! without crash injection (batching deliberately trades away per-grant
+//! tightness); the free-list properties pin the two-level bitmap to a
+//! `BTreeSet` model op for op.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -123,6 +124,44 @@ fn churn(
         .into_inner()
 }
 
+/// The batched guarantee: every granted name is in `1..=bound`, and no two
+/// hold intervals of one name overlap. A holder occupies its name from the
+/// grant until its release *starts* (the stash push lands inside the
+/// release window, so any later grant of the same name is stamped after
+/// it).
+fn check_unique_and_bounded(
+    records: &[LeaseRecord],
+    bound: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for (i, a) in records.iter().enumerate() {
+        let (Some(name_a), Some(start_a)) = (a.name, a.granted_at) else {
+            continue;
+        };
+        prop_assert!(
+            (1..=bound).contains(&name_a),
+            "name {} above max_concurrent {}",
+            name_a,
+            bound
+        );
+        for b in &records[i + 1..] {
+            let (Some(name_b), Some(start_b)) = (b.name, b.granted_at) else {
+                continue;
+            };
+            if name_a != name_b {
+                continue;
+            }
+            let end_a = a.release_started_at.unwrap_or(u64::MAX);
+            let end_b = b.release_started_at.unwrap_or(u64::MAX);
+            prop_assert!(
+                end_a <= start_b || end_b <= start_a,
+                "name {} held twice at once",
+                name_a
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10,
@@ -140,7 +179,7 @@ proptest! {
         yield_percent in 0u8..40,
     ) {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            RenamingNetwork::new(sortnet::batcher::odd_even_network(64)),
             2 * k,
         ));
         let config = ExecConfig::new(seed)
@@ -170,7 +209,7 @@ proptest! {
         crash_percent in 10u8..60,
     ) {
         let recycler = Arc::new(Recycler::new(
-            RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(64)),
+            RenamingNetwork::new(sortnet::batcher::odd_even_network(64)),
             2 * k,
         ));
         let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
@@ -239,29 +278,47 @@ proptest! {
         let records = churn(Arc::clone(&object), k, rounds, config);
 
         prop_assert_eq!(records.len(), k * rounds);
-        for (i, a) in records.iter().enumerate() {
-            let (Some(name_a), Some(start_a)) = (a.name, a.granted_at) else { continue };
-            prop_assert!(
-                (1..=2 * k).contains(&name_a),
-                "name {} above max_concurrent {}", name_a, 2 * k
-            );
-            // A holder occupies its name from the grant until its release
-            // *starts* (the stash push lands inside the release window, so
-            // any later grant of the same name is stamped after it).
-            for b in &records[i + 1..] {
-                let (Some(name_b), Some(start_b)) = (b.name, b.granted_at) else { continue };
-                if name_a != name_b {
-                    continue;
-                }
-                let end_a = a.release_started_at.unwrap_or(u64::MAX);
-                let end_b = b.release_started_at.unwrap_or(u64::MAX);
-                prop_assert!(
-                    end_a <= start_b || end_b <= start_a,
-                    "name {} held twice at once", name_a
-                );
-            }
-        }
+        check_unique_and_bounded(&records, 2 * k)?;
         prop_assert_eq!(object.live_leases(), 0);
+    }
+
+    /// The builder default under crash injection: a crashed holder's lease
+    /// is released by the unwind (into the stash), and a crash inside the
+    /// acquisition leaves at most its own name live. Names stay unique and
+    /// within `1..=max_concurrent` throughout.
+    #[test]
+    fn batched_default_leases_survive_crashes(
+        k in 2usize..8,
+        rounds in 1usize..6,
+        seed in 0u64..1_000_000,
+        crash_percent in 10u8..60,
+    ) {
+        let object = RenamingBuilder::new()
+            .network()
+            .capacity(64)
+            .max_concurrent(2 * k)
+            .seed(seed)
+            .build_long_lived()
+            .unwrap();
+        let config = ExecConfig::new(seed).with_crash_plan(CrashPlan::Random {
+            prob: f64::from(crash_percent) / 100.0,
+            max_steps: 40,
+        });
+        let records = churn(Arc::clone(&object), k, rounds, config);
+
+        check_unique_and_bounded(&records, 2 * k)?;
+        // An attempt that crashed before its grant has neither a grant nor
+        // a failure stamp.
+        let crashed_before_grant = records
+            .iter()
+            .filter(|record| record.granted_at.is_none() && record.release_finished_at.is_none())
+            .count();
+        prop_assert!(
+            object.live_leases() <= crashed_before_grant,
+            "{} live leases after {} crashed acquisitions",
+            object.live_leases(),
+            crashed_before_grant
+        );
     }
 
     /// Sharded leases under random interleavings: per-shard localized names
@@ -277,7 +334,7 @@ proptest! {
     ) {
         let sharded = Arc::new(ShardedRecycler::new(
             (0..shards)
-                .map(|_| RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(16)))
+                .map(|_| RenamingNetwork::new(sortnet::batcher::odd_even_network(16)))
                 .collect(),
             2 * k, // every shard could absorb the whole load via stealing
         ));
@@ -315,7 +372,7 @@ proptest! {
     ) {
         let sharded = Arc::new(ShardedRecycler::new(
             (0..shards)
-                .map(|_| RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(16)))
+                .map(|_| RenamingNetwork::new(sortnet::batcher::odd_even_network(16)))
                 .collect(),
             2 * k,
         ));
@@ -355,7 +412,7 @@ proptest! {
     ) {
         let sharded = Arc::new(ShardedRecycler::new(
             (0..shards)
-                .map(|_| RenamingNetwork::<_>::new(sortnet::batcher::odd_even_network(16)))
+                .map(|_| RenamingNetwork::new(sortnet::batcher::odd_even_network(16)))
                 .collect(),
             per_shard, // tiny: stealing is the common path, one crash wedges a shard
         ));

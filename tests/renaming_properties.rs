@@ -55,8 +55,7 @@ proptest! {
         yield_percent in 0u8..40,
         ports in proptest::collection::btree_set(0usize..32, 1..10),
     ) {
-        let network: Arc<RenamingNetwork<_>> =
-            Arc::new(RenamingNetwork::new(sortnet::batcher::odd_even_network(32)));
+        let network = Arc::new(RenamingNetwork::new(sortnet::batcher::odd_even_network(32)));
         let ids: Vec<ProcessId> = ports.iter().copied().map(ProcessId::new).collect();
         let outcome = Executor::new(config(seed, yield_percent, 0)).run_with_ids(&ids, {
             let network = Arc::clone(&network);
