@@ -51,6 +51,9 @@
 //! variant's *best* replayed execution regresses more than 20% past the
 //! committed
 //! `BENCH_lease_churn.json` baseline.
+//!
+//! The timing loops, telemetry pass and JSON writers are the shared
+//! [`renaming_bench::sweep`] driver.
 
 use adaptive_renaming::batched::BatchedRecycler;
 use adaptive_renaming::builder::RenamingBuilder;
@@ -58,12 +61,12 @@ use adaptive_renaming::lease::LongLivedRenaming;
 use adaptive_renaming::recycler::Recycler;
 use adaptive_renaming::sharded::ShardedRecycler;
 use adaptive_renaming::traits::Renaming;
-use renaming_bench::{enforce_gate, fmt1, Table};
-use shmem::adversary::ExecConfig;
-use shmem::executor::Executor;
+use renaming_bench::sweep::{observe_threads, time_threads, JsonRow, Sizing, Timing};
+use renaming_bench::Table;
+use shmem::adversary::ArrivalSchedule;
+use shmem::process::ProcessCtx;
 use shmem::register::AtomicU64Register;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Input wires of the one-shot network under the single recyclers.
 const WIDTH: usize = 64;
@@ -73,40 +76,9 @@ const SHARD_SPAN: usize = 8;
 const PER_SHARD_MAX: usize = 2;
 /// Leases per call of the batched variant (amortized admission + release).
 const BATCH: usize = 8;
-
-/// Run sizing; the full sweep feeds `BENCH_lease_churn.json`, the smoke
-/// sweep bounds CI time.
-struct Sizing {
-    ops_per_worker: usize,
-    executions: usize,
-    threads: &'static [usize],
-    write_json: bool,
-}
-
-const FULL: Sizing = Sizing {
-    ops_per_worker: 2_000,
-    executions: 5,
-    threads: &[2, 4, 8, 16],
-    write_json: true,
-};
-
-const SMOKE: Sizing = Sizing {
-    ops_per_worker: 200,
-    executions: 2,
-    threads: &[2, 4],
-    write_json: false,
-};
-
-/// The gate replays the FULL per-execution workload (so cells are
-/// comparable to the committed baseline) with three times the executions:
-/// the gate compares the *best* replay per cell, and a larger best-of-N
-/// keeps the scheduler's worst moods out of the verdict.
-const GATE: Sizing = Sizing {
-    ops_per_worker: 2_000,
-    executions: 15,
-    threads: &[2, 4, 8, 16],
-    write_json: false,
-};
+/// Full-sweep sizing: operations per worker, executions per row, and
+/// executions per row of the smoke run (see [`renaming_bench::sweep::Mode`]).
+const SIZING: (usize, usize, usize) = (2_000, 5, 2);
 
 /// How a variant's namespace is bounded, for the per-row `max_name` check.
 #[derive(Clone, Copy)]
@@ -144,96 +116,86 @@ impl Bound {
     }
 }
 
-/// One measured configuration.
-struct Sample {
-    variant: &'static str,
-    threads: usize,
-    mean_ns_per_op: f64,
-    min_ns_per_op: f64,
-    max_ns_per_op: f64,
-    max_name: usize,
-    fresh_names: usize,
-    recycled_names: usize,
-    bound: Bound,
-    /// Capacity of the variant's inner one-shot object(s): the network
-    /// width of a single recycler, the per-shard width of the sharded one.
-    inner_capacity: usize,
-}
-
 /// The static shape of one measured variant.
 struct VariantSpec {
     variant: &'static str,
     threads: usize,
     bound: Bound,
-    /// Lease/release ops per `cycle` invocation: 1 for the single-lease
-    /// variants, the batch size for the batched ones.
+    /// Lease/release ops per cycle: 1 for the single-lease variants, the
+    /// batch size for the batched ones.
     ops_per_call: usize,
+    /// Capacity of the variant's inner one-shot object(s): the network
+    /// width of a single recycler, the per-shard width of the sharded one.
     inner_capacity: usize,
 }
 
-/// Times `executions` runs of `spec.threads` workers × `ops_per_worker`
-/// lease/release ops issued through `cycle`, which performs
-/// `spec.ops_per_call` ops per invocation and returns the largest name it
-/// observed.
-fn measure<F>(
-    sizing: &Sizing,
+/// One measured configuration.
+struct Sample {
     spec: VariantSpec,
-    mut stats_after: impl FnMut() -> (usize, usize),
-    cycle: F,
-) -> Sample
-where
-    F: Fn(&mut shmem::process::ProcessCtx, usize) -> usize + Send + Sync,
-{
-    let VariantSpec {
-        variant,
-        threads,
-        bound,
-        ops_per_call,
-        inner_capacity,
-    } = spec;
-    let calls_per_worker = sizing.ops_per_worker / ops_per_call;
-    let total_ops = (threads * calls_per_worker * ops_per_call) as f64;
-    let mut total_ns = 0.0;
-    let mut min_ns = f64::INFINITY;
-    let mut max_ns: f64 = 0.0;
-    let mut max_name = 0usize;
-    let cycle = &cycle;
-    for execution in 0..sizing.executions {
-        let start = Instant::now();
-        let outcome = Executor::new(ExecConfig::new(execution as u64)).run(threads, move |ctx| {
-            let mut worst = 0usize;
-            for _ in 0..calls_per_worker {
-                worst = worst.max(cycle(ctx, threads));
-            }
-            worst
-        });
-        let elapsed = start.elapsed().as_nanos() as f64 / total_ops;
-        total_ns += elapsed;
-        min_ns = min_ns.min(elapsed);
-        max_ns = max_ns.max(elapsed);
-        max_name = max_name.max(outcome.results().into_iter().max().unwrap_or(0));
+    timing: Timing,
+    max_name: usize,
+    /// Fresh and recycled grants.
+    names: (usize, usize),
+}
+
+impl Sample {
+    /// Checks the largest name seen against the variant's bound.
+    fn new(spec: VariantSpec, timing: Timing, max_name: usize, names: (usize, usize)) -> Sample {
+        assert!(
+            spec.bound.admits(max_name),
+            "{} at {} threads leaked name {max_name} past its {} bound of {}",
+            spec.variant,
+            spec.threads,
+            spec.bound.kind(),
+            spec.bound.limit(),
+        );
+        Sample {
+            spec,
+            timing,
+            max_name,
+            names,
+        }
     }
-    assert!(
-        bound.admits(max_name),
-        "{variant} at {threads} threads leaked name {max_name} past its \
-         {} bound of {}",
-        bound.kind(),
-        bound.limit(),
-    );
-    let (fresh_names, recycled_names) = stats_after();
-    Sample {
-        variant,
-        threads,
-        mean_ns_per_op: total_ns / sizing.executions as f64,
-        min_ns_per_op: min_ns,
-        max_ns_per_op: max_ns,
-        max_name,
-        fresh_names,
-        recycled_names,
-        bound,
-        inner_capacity,
+
+    fn json(&self) -> JsonRow {
+        JsonRow::new()
+            .text("variant", self.spec.variant)
+            .raw("threads", self.spec.threads)
+            .timing(&self.timing)
+            .raw("max_name", self.max_name)
+            .text("bound_kind", self.spec.bound.kind())
+            .raw("namespace_bound", self.spec.bound.limit())
+            .raw("inner_capacity", self.spec.inner_capacity)
+            .raw("fresh_names", self.names.0)
+            .raw("recycled_names", self.names.1)
     }
 }
+
+/// Times `cycle` over `object`: each call performs `spec.ops_per_call`
+/// lease/release ops and returns the largest name it observed. `stats`
+/// reads the (fresh, recycled) split once the sweep is done.
+fn measure<T: Sync>(
+    sizing: &Sizing,
+    spec: VariantSpec,
+    object: &T,
+    stats: impl FnOnce(&T) -> (usize, usize),
+    cycle: impl Fn(&T, &mut ProcessCtx) -> usize + Sync,
+) -> Sample {
+    let mut max_name = 0;
+    let timing = time_threads(
+        sizing,
+        spec.threads,
+        spec.ops_per_call,
+        ArrivalSchedule::Simultaneous,
+        || object,
+        |object, ctx| cycle(object, ctx),
+        |_, outcome| max_name = max_name.max(outcome.results().into_iter().max().unwrap_or(0)),
+    );
+    Sample::new(spec, timing, max_name, stats(object))
+}
+
+/// A recycler over one compiled renaming network.
+type NetRecycler = Recycler<Arc<dyn Renaming>>;
 
 fn network(capacity: usize) -> Arc<dyn Renaming> {
     RenamingBuilder::new()
@@ -244,272 +206,190 @@ fn network(capacity: usize) -> Arc<dyn Renaming> {
         .expect("valid configuration")
 }
 
-/// Measures the crash-robust lease table shared across **forked OS
-/// processes** over a `MAP_SHARED` arena: the cross-process analogue of the
-/// thread rows. Each child acquires and releases through the
-/// generation-stamped slot protocol with its pid as the owner stamp, so the
-/// row prices the full robust protocol (scan + CAS acquire, CAS release,
-/// releases-seqlock bump) on real shared memory. Timing runs gate-to-done —
-/// children spin on a start word, bump a done word after their last release
-/// — so fork and waitpid overhead stay out of the measurement.
-#[cfg(all(unix, not(miri)))]
-fn measure_robust_procs(sizing: &Sizing, processes: usize) -> Sample {
-    use adaptive_renaming::robust::RobustLeaseTable;
-    use shmem::arena::Arena;
-    use shmem::process::{ProcessCtx, ProcessId};
-    use shmem::procs::{fork_child, wait_for_clean_exit};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let calls_per_worker = sizing.ops_per_worker;
-    let total_ops = (processes * calls_per_worker) as f64;
-    // Table slots + releases register + barrier words + per-child report
-    // words (each allocation is rounded to its own 64-byte line).
-    let arena = Arena::shared(RobustLeaseTable::footprint(processes) + (processes + 3) * 64)
-        .expect("anonymous MAP_SHARED arena");
-    let table = Arc::new(RobustLeaseTable::with_capacity_in(&arena, processes));
-    let ready = arena.alloc::<AtomicU64>().pin(&arena);
-    let start_gate = arena.alloc::<AtomicU64>().pin(&arena);
-    let done = arena.alloc::<AtomicU64>().pin(&arena);
-    let reports = arena.alloc_slice::<AtomicU64>(processes).pin(&arena);
-
-    let mut total_ns = 0.0;
-    let mut min_ns = f64::INFINITY;
-    let mut max_ns: f64 = 0.0;
-    for execution in 0..sizing.executions {
-        ready.store(0, Ordering::SeqCst);
-        start_gate.store(0, Ordering::SeqCst);
-        done.store(0, Ordering::SeqCst);
-        let pids: Vec<i32> = (0..processes)
-            .map(|worker| {
-                // Pre-fork context (fork discipline: children only touch
-                // atomics on the shared mapping).
-                let ctx = ProcessCtx::new(
-                    ProcessId::new(worker),
-                    (execution * processes + worker) as u64,
-                );
-                let table = Arc::clone(&table);
-                let (ready, start_gate, done, reports) = (
-                    ready.clone(),
-                    start_gate.clone(),
-                    done.clone(),
-                    reports.clone(),
-                );
-                fork_child(move || {
-                    let mut ctx = ctx;
-                    // Register before signalling ready: the registry claim
-                    // is atomics-only (fork-safe) and must stay outside the
-                    // timed window. Dead children of earlier executions are
-                    // recycled here, so the registry never fills up.
-                    let registration = table
-                        .register_current_process()
-                        .expect("the registry admits every live child");
-                    ready.fetch_add(1, Ordering::SeqCst);
-                    while start_gate.load(Ordering::SeqCst) == 0 {
-                        std::hint::spin_loop();
-                    }
-                    let mut worst = 0usize;
-                    for _ in 0..calls_per_worker {
-                        let name = table
-                            .acquire(&mut ctx, registration.tag())
-                            .expect("table capacity equals the process count");
-                        worst = worst.max(name);
-                        table.release(&mut ctx, name);
-                    }
-                    reports[worker].fetch_max(worst as u64, Ordering::SeqCst);
-                    done.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        // Wait until every child is spinning on the gate, so fork and child
-        // startup latency never lands inside the timed window.
-        while ready.load(Ordering::SeqCst) < processes as u64 {
-            std::thread::yield_now();
-        }
-        let timer = Instant::now();
-        start_gate.store(1, Ordering::SeqCst);
-        // Yield, don't spin: the parent must not steal a core from the
-        // children it is timing.
-        while done.load(Ordering::SeqCst) < processes as u64 {
-            std::thread::yield_now();
-        }
-        let elapsed = timer.elapsed().as_nanos() as f64 / total_ops;
-        total_ns += elapsed;
-        min_ns = min_ns.min(elapsed);
-        max_ns = max_ns.max(elapsed);
-        for pid in pids {
-            wait_for_clean_exit(pid);
-        }
-        assert_eq!(
-            table.live_leases(),
-            0,
-            "every lease must be released once the children are done"
-        );
-    }
-    let max_name = reports
-        .iter()
-        .map(|report| report.load(Ordering::SeqCst) as usize)
-        .max()
-        .unwrap_or(0);
-    let bound = Bound::Tight(processes);
-    assert!(
-        bound.admits(max_name),
-        "robust_mmap_procs at {processes} processes leaked name {max_name} \
-         past its tight bound of {processes}"
-    );
-    Sample {
-        variant: "robust_mmap_procs",
-        threads: processes,
-        mean_ns_per_op: total_ns / sizing.executions as f64,
-        min_ns_per_op: min_ns,
-        max_ns_per_op: max_ns,
-        max_name,
-        fresh_names: 0,
-        // Every completed HELD→FREE transition is a recycle of its slot.
-        recycled_names: table.transitions(),
-        bound,
-        inner_capacity: processes,
-    }
+/// The raw lease surface of a single recycler: like the ticket baseline,
+/// the cycle carries no RAII guard (which would add two reference count
+/// updates per cycle on top of the renaming protocol).
+fn recycler_cycle(recycler: &NetRecycler, ctx: &mut ProcessCtx) -> usize {
+    let name = recycler
+        .lease_raw(ctx)
+        .expect("admission bound equals the worker count");
+    recycler.release_with(ctx, name);
+    name
 }
 
-/// Measures a single recycler.
-fn measure_recycler(sizing: &Sizing, variant: &'static str, threads: usize) -> Sample {
-    let recycler = Arc::new(Recycler::new(network(WIDTH), threads));
-    measure(
+/// The builder default: the hierarchical recycler behind the
+/// `BatchedRecycler` stash, returned with its inner recycler.
+fn stash(threads: usize) -> (Arc<NetRecycler>, BatchedRecycler) {
+    let inner = Arc::new(Recycler::new(network(WIDTH), threads));
+    let stash = BatchedRecycler::new(Arc::clone(&inner) as Arc<dyn LongLivedRenaming>, BATCH);
+    (inner, stash)
+}
+
+/// Plain lease/release through the stash. Stashed names hold admission
+/// slots until their batch flushes, so a lease can spuriously collide with
+/// an in-flight release; retry until the name lands (the stash sweep finds
+/// it on the next pass).
+fn stash_cycle(stash: &BatchedRecycler, ctx: &mut ProcessCtx) -> usize {
+    let name = loop {
+        if let Ok(name) = stash.lease_raw(ctx) {
+            break name;
+        }
+    };
+    stash.release_with(ctx, name);
+    name
+}
+
+/// The crash-robust lease table shared across **forked OS processes** over
+/// a `MAP_SHARED` arena: the cross-process analogue of the thread rows.
+/// Each child acquires and releases through the generation-stamped slot
+/// protocol with its pid as the owner stamp, so the row prices the full
+/// robust protocol (scan + CAS acquire, CAS release, releases-seqlock bump)
+/// on real shared memory. With `telemetry`, each child also records into
+/// its own stripe of a metrics slab **escrowed in the same arena as the
+/// table**, merged into the returned snapshot after the children exit
+/// (empty without).
+#[cfg(all(unix, not(miri)))]
+fn robust_procs(sizing: &Sizing, processes: usize, telemetry: bool) -> (Sample, obs::Snapshot) {
+    use adaptive_renaming::robust::RobustLeaseTable;
+    use renaming_bench::sweep::time_forked;
+    use shmem::arena::Arena;
+
+    let bytes = RobustLeaseTable::footprint(processes) + obs::MetricsSlab::footprint(processes);
+    let arena = Arena::shared(bytes + 64).expect("anonymous MAP_SHARED arena");
+    let table = RobustLeaseTable::with_capacity_in(&arena, processes);
+    let slab = obs::MetricsSlab::new_in(&arena, processes);
+    let mut max_name = 0;
+    let timing = time_forked(
         sizing,
-        VariantSpec {
-            variant,
-            threads,
-            bound: Bound::Tight(threads),
-            ops_per_call: 1,
-            inner_capacity: WIDTH,
-        },
-        {
-            let recycler = Arc::clone(&recycler);
-            move || (recycler.fresh_names(), recycler.recycled_names())
-        },
-        {
-            // The raw lease surface: like the ticket baseline, the timed
-            // cycle carries no RAII guard (which would add two reference
-            // count updates per cycle on top of the renaming protocol).
-            let recycler = Arc::clone(&recycler);
-            move |ctx, _| {
-                let name = recycler
-                    .lease_raw(ctx)
-                    .expect("admission bound equals the worker count");
-                recycler.release_with(ctx, name);
-                name
+        processes,
+        || (),
+        |(), ctx, start| {
+            if telemetry {
+                obs::bind_metrics(slab.writer(ctx.id().as_usize()));
             }
+            // Register before the gate: the registry claim is atomics-only
+            // (fork-safe) and must stay outside the timed window. Dead
+            // children of earlier executions are recycled here, so the
+            // registry never fills up.
+            let registration = table
+                .register_current_process()
+                .expect("the registry admits every live child");
+            start();
+            let mut worst = 0;
+            for _ in 0..sizing.ops_per_worker {
+                let name = table
+                    .acquire(ctx, registration.tag())
+                    .expect("table capacity equals the process count");
+                worst = worst.max(name);
+                table.release(ctx, name);
+            }
+            [worst as u64]
         },
-    )
+        |(), reports| {
+            for &[worst] in reports {
+                max_name = max_name.max(worst as usize);
+            }
+            assert_eq!(
+                table.live_leases(),
+                0,
+                "every lease must be released once the children are done"
+            );
+        },
+    );
+    let spec = VariantSpec {
+        variant: "robust_mmap_procs",
+        threads: processes,
+        bound: Bound::Tight(processes),
+        ops_per_call: 1,
+        inner_capacity: processes,
+    };
+    // Every completed HELD→FREE transition is a recycle of its slot.
+    let sample = Sample::new(spec, timing, max_name, (0, table.transitions()));
+    (sample, obs::Snapshot::collect(&slab))
 }
 
 fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
     let mut samples = Vec::new();
     for &threads in sizing.threads {
+        let spec = |variant, bound, ops_per_call, inner_capacity| VariantSpec {
+            variant,
+            threads,
+            bound,
+            ops_per_call,
+            inner_capacity,
+        };
+        let recycler_stats =
+            |recycler: &NetRecycler| (recycler.fresh_names(), recycler.recycled_names());
+
         // --- Recycler over the compiled renaming network -----------------
-        samples.push(measure_recycler(sizing, "recycler_hierarchical", threads));
+        samples.push(measure(
+            sizing,
+            spec("recycler_hierarchical", Bound::Tight(threads), 1, WIDTH),
+            &Recycler::new(network(WIDTH), threads),
+            recycler_stats,
+            recycler_cycle,
+        ));
 
         // --- Batched leases: admission and release amortized over BATCH ---
         // Each worker cycles a whole batch at a time through the raw batch
         // surface: one admission reservation and one release-side counter
         // bump per BATCH leases instead of per lease.
-        let batched = Arc::new(Recycler::new(network(threads * BATCH), threads * BATCH));
+        let capacity = threads * BATCH;
         samples.push(measure(
             sizing,
-            VariantSpec {
-                variant: "recycler_hierarchical_batch8",
-                threads,
-                bound: Bound::Tight(threads * BATCH),
-                ops_per_call: BATCH,
-                inner_capacity: threads * BATCH,
-            },
-            {
-                let batched = Arc::clone(&batched);
-                move || (batched.fresh_names(), batched.recycled_names())
-            },
-            {
-                let batched = Arc::clone(&batched);
-                move |ctx, _| {
-                    let mut names = Vec::with_capacity(BATCH);
-                    batched
-                        .lease_many_raw(ctx, BATCH, &mut names)
-                        .expect("admission bound equals workers × batch");
-                    let worst = names.iter().copied().max().unwrap_or(0);
-                    batched.release_many_raw(&names);
-                    worst
-                }
+            spec(
+                "recycler_hierarchical_batch8",
+                Bound::Tight(capacity),
+                BATCH,
+                capacity,
+            ),
+            &Recycler::new(network(capacity), capacity),
+            recycler_stats,
+            |batched, ctx| {
+                let mut names = Vec::with_capacity(BATCH);
+                batched
+                    .lease_many_raw(ctx, BATCH, &mut names)
+                    .expect("admission bound equals workers × batch");
+                let worst = names.iter().copied().max().unwrap_or(0);
+                batched.release_many_raw(&names);
+                worst
             },
         ));
 
         // --- Builder-default stash: single leases, batched releases -------
-        // The same hierarchical recycler behind the BatchedRecycler wrapper
-        // the builder installs by default: plain lease/release per cycle
-        // (no caller-side batching), with the release cost amortized by the
+        // No caller-side batching: the release cost is amortized by the
         // stripe stashes. Names stay within the concurrency bound but lose
         // the per-grant tightness, so the row is labelled loose.
-        let stash_inner = Arc::new(Recycler::new(network(WIDTH), threads));
-        let stash = Arc::new(BatchedRecycler::new(
-            Arc::clone(&stash_inner) as Arc<dyn LongLivedRenaming>,
-            BATCH,
-        ));
+        let (inner, stashed) = stash(threads);
         samples.push(measure(
             sizing,
-            VariantSpec {
-                variant: "builder_default_stash8",
-                threads,
-                bound: Bound::Loose(threads),
-                ops_per_call: 1,
-                inner_capacity: WIDTH,
-            },
-            {
-                let stash_inner = Arc::clone(&stash_inner);
-                move || (stash_inner.fresh_names(), stash_inner.recycled_names())
-            },
-            {
-                let stash = Arc::clone(&stash);
-                move |ctx, _| {
-                    // Stashed names hold admission slots until their batch
-                    // flushes, so a lease can spuriously collide with an
-                    // in-flight release; retry until the name lands (the
-                    // stash sweep finds it on the next pass).
-                    let name = loop {
-                        if let Ok(name) = stash.lease_raw(ctx) {
-                            break name;
-                        }
-                    };
-                    stash.release_with(ctx, name);
-                    name
-                }
-            },
+            spec("builder_default_stash8", Bound::Loose(threads), 1, WIDTH),
+            &stashed,
+            |_| recycler_stats(&inner),
+            stash_cycle,
         ));
 
         // --- Sharded recycler: one home shard per worker ------------------
-        let sharded = Arc::new(ShardedRecycler::new(
+        let sharded = ShardedRecycler::new(
             (0..threads).map(|_| network(SHARD_SPAN)).collect(),
             PER_SHARD_MAX,
-        ));
+        );
         samples.push(measure(
             sizing,
-            VariantSpec {
-                variant: "sharded_recycler",
-                threads,
-                bound: Bound::Loose(threads * sharded.span()),
-                ops_per_call: 1,
-                inner_capacity: SHARD_SPAN,
-            },
-            {
-                let sharded = Arc::clone(&sharded);
-                move || (sharded.fresh_names(), sharded.recycled_names())
-            },
-            {
-                let sharded = Arc::clone(&sharded);
-                move |ctx, _| {
-                    let name = sharded
-                        .lease_raw(ctx)
-                        .expect("every worker fits in its home shard");
-                    sharded.release_with(ctx, name);
-                    name
-                }
+            spec(
+                "sharded_recycler",
+                Bound::Loose(threads * sharded.span()),
+                1,
+                SHARD_SPAN,
+            ),
+            &sharded,
+            |sharded| (sharded.fresh_names(), sharded.recycled_names()),
+            |sharded, ctx| {
+                let name = sharded
+                    .lease_raw(ctx)
+                    .expect("every worker fits in its home shard");
+                sharded.release_with(ctx, name);
+                name
             },
         ));
 
@@ -517,29 +397,18 @@ fn run_sweep(sizing: &Sizing) -> Vec<Sample> {
         // Real fork(2) children over a MAP_SHARED arena: the only row whose
         // contenders are processes, not threads. Unix only.
         #[cfg(all(unix, not(miri)))]
-        samples.push(measure_robust_procs(sizing, threads));
+        samples.push(robust_procs(sizing, threads, false).0);
 
         // --- Ticket baseline: fetch-and-add acquire + release -------------
-        let tickets = Arc::new(AtomicU64Register::new(0));
-        let stubs = Arc::new(AtomicU64Register::new(0));
         samples.push(measure(
             sizing,
-            VariantSpec {
-                variant: "cas_ticket_baseline",
-                threads,
-                bound: Bound::Unbounded,
-                ops_per_call: 1,
-                inner_capacity: 0,
-            },
-            || (0, 0),
-            {
-                let tickets = Arc::clone(&tickets);
-                let stubs = Arc::clone(&stubs);
-                move |ctx, _| {
-                    let name = tickets.fetch_add(ctx, 1) as usize + 1;
-                    stubs.fetch_add(ctx, 1); // "return the ticket stub"
-                    name
-                }
+            spec("cas_ticket_baseline", Bound::Unbounded, 1, 0),
+            &(AtomicU64Register::new(0), AtomicU64Register::new(0)),
+            |_| (0, 0),
+            |(tickets, stubs), ctx| {
+                let name = tickets.fetch_add(ctx, 1) as usize + 1;
+                stubs.fetch_add(ctx, 1); // "return the ticket stub"
+                name
             },
         ));
     }
@@ -562,252 +431,66 @@ fn print_table(samples: &[Sample]) {
         ],
     );
     for s in samples {
-        let bound = match s.bound {
+        let bound = match s.spec.bound {
             Bound::Unbounded => "none".to_string(),
-            _ => format!("{} ≤{}", s.bound.kind(), s.bound.limit()),
+            bound => format!("{} ≤{}", bound.kind(), bound.limit()),
         };
+        let [mean, min, max] = s.timing.cells();
         table.row(vec![
-            s.variant.to_string(),
-            s.threads.to_string(),
-            fmt1(s.mean_ns_per_op),
-            fmt1(s.min_ns_per_op),
-            fmt1(s.max_ns_per_op),
+            s.spec.variant.to_string(),
+            s.spec.threads.to_string(),
+            mean,
+            min,
+            max,
             s.max_name.to_string(),
             bound,
-            s.fresh_names.to_string(),
-            s.recycled_names.to_string(),
+            s.names.0.to_string(),
+            s.names.1.to_string(),
         ]);
     }
     table.print();
 }
 
-fn write_json(sizing: &Sizing, samples: &[Sample]) -> std::io::Result<()> {
-    let mut variants = String::new();
-    for (index, s) in samples.iter().enumerate() {
-        if index > 0 {
-            variants.push_str(",\n");
-        }
-        variants.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"threads\": {}, \"mean_ns_per_op\": {:.1}, \
-             \"min_ns_per_op\": {:.1}, \"max_ns_per_op\": {:.1}, \"max_name\": {}, \
-             \"bound_kind\": \"{}\", \"namespace_bound\": {}, \"inner_capacity\": {}, \
-             \"fresh_names\": {}, \"recycled_names\": {}}}",
-            s.variant,
-            s.threads,
-            s.mean_ns_per_op,
-            s.min_ns_per_op,
-            s.max_ns_per_op,
-            s.max_name,
-            s.bound.kind(),
-            s.bound.limit(),
-            s.inner_capacity,
-            s.fresh_names,
-            s.recycled_names
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"lease_churn\",\n  \"network_width\": {WIDTH},\n  \
-         \"shard_span\": {SHARD_SPAN},\n  \"ops_per_worker\": {},\n  \
-         \"executions\": {},\n  \"variants\": [\n{variants}\n  ]\n}}\n",
-        sizing.ops_per_worker, sizing.executions,
-    );
-    std::fs::write("BENCH_lease_churn.json", json)
-}
-
-/// One untimed telemetry execution of an in-process variant: each worker
-/// binds its own stripe of a fresh heap
-/// [`MetricsSlab`](obs::MetricsSlab), churns the sizing's per-worker
-/// cycles, and the stripes merge into one snapshot.
-fn observe_cycles<F>(
-    sizing: &Sizing,
-    threads: usize,
-    ops_per_call: usize,
-    cycle: F,
-) -> obs::Snapshot
-where
-    F: Fn(&mut shmem::process::ProcessCtx, usize) -> usize + Send + Sync,
-{
-    let calls_per_worker = sizing.ops_per_worker / ops_per_call;
-    let slab = obs::MetricsSlab::heap(threads);
-    let cycle = &cycle;
-    Executor::new(ExecConfig::new(0))
-        .run(threads, {
-            let slab = Arc::clone(&slab);
-            move |ctx| {
-                obs::bind_metrics(slab.writer(ctx.id().as_usize()));
-                for _ in 0..calls_per_worker {
-                    cycle(ctx, threads);
-                }
-                obs::unbind();
-            }
-        })
-        .results();
-    obs::Snapshot::collect(&slab)
-}
-
-/// The cross-process telemetry row: forked children churn the crash-robust
-/// lease table while recording into per-child metric stripes **escrowed in
-/// the same `MAP_SHARED` arena as the table itself** — each child owns its
-/// stripe's cache lines, and the parent merges the slab into one snapshot
-/// after the children exit. The acquire-latency histogram and CAS-retry
-/// counters of the full robust protocol on real shared memory.
-#[cfg(all(unix, not(miri)))]
-fn observe_robust_procs(sizing: &Sizing, processes: usize) -> obs::Snapshot {
-    use adaptive_renaming::robust::RobustLeaseTable;
-    use shmem::arena::Arena;
-    use shmem::process::{ProcessCtx, ProcessId};
-    use shmem::procs::{fork_child, wait_for_clean_exit};
-
-    let calls_per_worker = sizing.ops_per_worker;
-    let arena = Arena::shared(
-        RobustLeaseTable::footprint(processes) + obs::MetricsSlab::footprint(processes) + 64,
-    )
-    .expect("anonymous MAP_SHARED arena");
-    let table = Arc::new(RobustLeaseTable::with_capacity_in(&arena, processes));
-    let slab = obs::MetricsSlab::new_in(&arena, processes);
-    let pids: Vec<i32> = (0..processes)
-        .map(|worker| {
-            // Pre-fork context; the child binds its stripe post-fork (the
-            // sink binding is plain thread-local state) and touches only
-            // atomics on the shared mapping.
-            let ctx = ProcessCtx::new(ProcessId::new(worker), worker as u64);
-            let table = Arc::clone(&table);
-            let slab = Arc::clone(&slab);
-            fork_child(move || {
-                let mut ctx = ctx;
-                obs::bind_metrics(slab.writer(worker));
-                let registration = table
-                    .register_current_process()
-                    .expect("the registry admits every live child");
-                for _ in 0..calls_per_worker {
-                    let name = table
-                        .acquire(&mut ctx, registration.tag())
-                        .expect("table capacity equals the process count");
-                    table.release(&mut ctx, name);
-                }
-            })
-        })
-        .collect();
-    for pid in pids {
-        wait_for_clean_exit(pid);
-    }
-    obs::Snapshot::collect(&slab)
-}
-
-/// Writes `OBS_lease_churn.json`: one telemetry row per (variant, threads)
-/// cell, each carrying the merged snapshot of that cell's bound run.
-fn write_obs_json(sizing: &Sizing) -> std::io::Result<()> {
-    let mut rows = String::new();
-    let mut push_row = |variant: &str, threads: usize, snapshot: obs::Snapshot| {
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"variant\": \"{variant}\", \"threads\": {threads}, \
-             \"telemetry\": {}}}",
-            snapshot.to_json().trim_end(),
-        ));
+/// The untimed telemetry pass: one row per (variant, threads) cell, each
+/// carrying the merged snapshot of that cell's bound run.
+fn observe(sizing: &Sizing) -> Vec<JsonRow> {
+    // One untimed execution of the forked row.
+    #[cfg(all(unix, not(miri)))]
+    let once = &Sizing {
+        executions: 1,
+        ..*sizing
     };
+    let mut rows = Vec::new();
     for &threads in sizing.threads {
-        let hierarchical = Arc::new(Recycler::new(network(WIDTH), threads));
-        push_row(
-            "recycler_hierarchical",
-            threads,
-            observe_cycles(sizing, threads, 1, {
-                let recycler = Arc::clone(&hierarchical);
-                move |ctx, _| {
-                    let name = recycler
-                        .lease_raw(ctx)
-                        .expect("admission bound equals the worker count");
-                    recycler.release_with(ctx, name);
-                    name
-                }
-            }),
-        );
-
-        let stash = Arc::new(BatchedRecycler::new(
-            Arc::new(Recycler::new(network(WIDTH), threads)) as Arc<dyn LongLivedRenaming>,
-            BATCH,
-        ));
-        push_row(
-            "builder_default_stash8",
-            threads,
-            observe_cycles(sizing, threads, 1, {
-                let stash = Arc::clone(&stash);
-                move |ctx, _| {
-                    // Same spurious-collision retry as the timed row.
-                    let name = loop {
-                        if let Ok(name) = stash.lease_raw(ctx) {
-                            break name;
-                        }
-                    };
-                    stash.release_with(ctx, name);
-                    name
-                }
-            }),
-        );
-
+        let mut push_row = |variant: &str, snapshot: obs::Snapshot| {
+            rows.push(
+                JsonRow::new()
+                    .text("variant", variant)
+                    .raw("threads", threads)
+                    .raw("telemetry", snapshot.to_json().trim_end()),
+            );
+        };
+        let recycler = Recycler::new(network(WIDTH), threads);
+        let (snapshot, _) = observe_threads(sizing, threads, &recycler, recycler_cycle);
+        push_row("recycler_hierarchical", snapshot);
+        let (snapshot, _) = observe_threads(sizing, threads, &stash(threads).1, stash_cycle);
+        push_row("builder_default_stash8", snapshot);
         #[cfg(all(unix, not(miri)))]
-        push_row(
-            "robust_mmap_procs",
-            threads,
-            observe_robust_procs(sizing, threads),
-        );
+        push_row("robust_mmap_procs", robust_procs(once, threads, true).1);
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"lease_churn\",\n  \"ops_per_worker\": {},\n  \
-         \"rows\": [\n{rows}\n  ]\n}}\n",
-        sizing.ops_per_worker,
-    );
-    std::fs::write("OBS_lease_churn.json", json)
-}
-
-/// `--gate`: replay the full sizing and compare every (variant, threads)
-/// cell's best (minimum ns/op) execution against the committed
-/// `BENCH_lease_churn.json`, failing when even the best replay sits >20%
-/// past the committed mean (or committed max for rows whose baseline was
-/// already noisy), when a cell has no committed row, or when a committed
-/// row has no cell. Exits the process with status 1 on failure.
-fn run_gate(samples: &[Sample]) {
-    let fresh: Vec<(Vec<String>, f64)> = samples
-        .iter()
-        .map(|s| {
-            (
-                vec![s.variant.to_string(), s.threads.to_string()],
-                s.min_ns_per_op,
-            )
-        })
-        .collect();
-    enforce_gate("BENCH_lease_churn.json", &["variant", "threads"], &fresh);
+    rows
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|arg| arg == "--smoke");
-    let gate = args.iter().any(|arg| arg == "--gate");
-    // `--no-obs` skips the telemetry pass: the overhead gate
-    // (tools/obs_overhead.sh) compares telemetry-on vs obs-off builds over
-    // *identical* work, so the bound recording of the telemetry pass must
-    // not leak into the comparison.
-    let no_obs = args.iter().any(|arg| arg == "--no-obs");
-    // The gate replays the full per-execution workload (a smoke-sized run
-    // against the committed full-sized baseline would compare different
-    // workloads) with extra executions per cell — see GATE.
-    let sizing = if gate {
-        &GATE
-    } else if smoke {
-        &SMOKE
-    } else {
-        &FULL
-    };
+    let sizing = &Sizing::from_args(SIZING);
     let samples = run_sweep(sizing);
     print_table(&samples);
     for &threads in sizing.threads {
         let ns = |variant: &str| {
             samples
                 .iter()
-                .find(|s| s.variant == variant && s.threads == threads)
-                .map(|s| s.mean_ns_per_op)
+                .find(|s| s.spec.variant == variant && s.spec.threads == threads)
+                .map(|s| s.timing.mean_ns_per_op)
                 .unwrap_or(f64::NAN)
         };
         let ticket = ns("cas_ticket_baseline");
@@ -826,27 +509,17 @@ fn main() {
             threads * SHARD_SPAN,
         );
     }
-    if gate {
-        run_gate(&samples);
-    } else {
-        if sizing.write_json {
-            match write_json(sizing, &samples) {
-                Ok(()) => println!("wrote BENCH_lease_churn.json"),
-                Err(error) => eprintln!("failed to write BENCH_lease_churn.json: {error}"),
-            }
-        } else {
-            println!("smoke mode: BENCH_lease_churn.json left untouched");
-        }
-        // The telemetry pass runs after every timed execution has finished:
-        // binding a sink flips the process-wide enable flag, so the order
-        // keeps the timed sweep above on the never-enabled fast path.
-        if no_obs {
-            println!("--no-obs: OBS_lease_churn.json left untouched");
-        } else {
-            match write_obs_json(sizing) {
-                Ok(()) => println!("wrote OBS_lease_churn.json"),
-                Err(error) => eprintln!("failed to write OBS_lease_churn.json: {error}"),
-            }
-        }
-    }
+    let header = JsonRow::new()
+        .raw("network_width", WIDTH)
+        .raw("shard_span", SHARD_SPAN)
+        .raw("ops_per_worker", sizing.ops_per_worker)
+        .raw("executions", sizing.executions);
+    sizing.finish(
+        "lease_churn",
+        &["variant", "threads"],
+        header,
+        "variants",
+        samples.iter().map(|s| (s.json(), s.timing)),
+        observe,
+    );
 }

@@ -1,12 +1,15 @@
-//! Shared utilities for the experiment binaries and criterion benches.
+//! Shared utilities for the experiment binaries (`src/bin/exp_*.rs`).
 //!
-//! Every quantitative claim of the paper has a corresponding experiment (see
-//! `DESIGN.md` §3 and `EXPERIMENTS.md`); this crate holds the measurement
-//! helpers they share: aggregation of step statistics across repeated
-//! executions and plain-text table rendering.
+//! Every quantitative claim of the paper has an experiment binary whose
+//! module doc names the section, lemma or corollary it measures (the
+//! README's "Running the benches" lists them). This crate holds what they
+//! share: step aggregation, tables, the perf gate over the committed
+//! `BENCH_*.json` baselines and the [`sweep`] driver of the timed sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod sweep;
 
 use shmem::steps::StepStats;
 
@@ -398,22 +401,49 @@ mod tests {
         assert_eq!(log2(0), 0.0);
     }
 
+    /// Rows shaped like `exp_lease_churn`'s and `exp_counters`' go through
+    /// the shared writer and back through the gate's reader.
     #[test]
     fn baseline_rows_parse_from_the_writer_format() {
-        let json = "{\n  \"experiment\": \"counters\",\n  \"ops_per_worker\": 500,\n  \
-                    \"rows\": [\n    {\"backend\": \"network\", \"threads\": 4, \
-                    \"arrivals\": \"bursty\", \"mean_ns_per_op\": 161.2, \
-                    \"max_ns_per_op\": 199.0},\n    {\"backend\": \"fetch_add\", \
-                    \"threads\": 4, \"arrivals\": \"steady\", \"mean_ns_per_op\": 42.3, \
-                    \"max_ns_per_op\": 50.1}\n  ]\n}\n";
-        let rows = parse_baseline_rows(json);
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].matches(&[("backend", "network"), ("threads", "4")]));
-        assert_eq!(rows[0].get("arrivals"), Some("bursty"));
-        assert_eq!(rows[0].number("mean_ns_per_op"), Some(161.2));
-        assert!(!rows[1].matches(&[("backend", "network")]));
-        assert_eq!(rows[1].number("max_ns_per_op"), Some(50.1));
-        assert_eq!(rows[1].number("backend"), None, "strings are not numbers");
+        use crate::sweep::{JsonRow, Timing};
+        let timing = Timing {
+            mean_ns_per_op: 161.24,
+            min_ns_per_op: 150.0,
+            max_ns_per_op: 199.06,
+        };
+        let lease = JsonRow::new()
+            .text("variant", "recycler_hierarchical")
+            .raw("threads", 16)
+            .timing(&timing)
+            .text("bound_kind", "tight");
+        let counter = JsonRow::new()
+            .text("backend", "network")
+            .raw("threads", 4)
+            .text("arrivals", "bursty")
+            .timing(&timing)
+            .fixed1("steps_per_op", 11.0);
+        let lines = [lease.line(), counter.line()].into_iter();
+        let header = JsonRow::new().raw("ops_per_worker", 500);
+        let rows = parse_baseline_rows(&header.document("demo", "rows", lines));
+        assert_eq!(rows.len(), 2, "the document's header lines are not rows");
+        let lease_keys = [("variant", "recycler_hierarchical"), ("threads", "16")];
+        let counter_keys = [
+            ("backend", "network"),
+            ("threads", "4"),
+            ("arrivals", "bursty"),
+        ];
+        for (written, read, pairs) in [
+            (&lease, &rows[0], &lease_keys[..]),
+            (&counter, &rows[1], &counter_keys),
+        ] {
+            assert!(read.matches(pairs), "{read:?} does not read back {pairs:?}");
+            let (keys, values): (Vec<&str>, Vec<&str>) = pairs.iter().copied().unzip();
+            assert_eq!(written.keys(&keys), values);
+            assert_eq!(read.number("mean_ns_per_op"), Some(161.2));
+            assert_eq!(read.number("max_ns_per_op"), Some(199.1));
+        }
+        assert!(!rows[1].matches(&[("backend", "fetch_add")]));
+        assert_eq!(rows[0].number("variant"), None, "strings are not numbers");
         assert!(parse_baseline_rows("not json at all").is_empty());
     }
 

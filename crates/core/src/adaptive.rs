@@ -16,8 +16,9 @@
 //! value entering port `n` traverses only `O(log^c max(n, m))` comparators,
 //! the expected step complexity is `O(log k)` for a depth-`O(log n)` base
 //! family — `O(log² k)` for the constructible Batcher family used here
-//! (Theorem 3, adjusted for the constructible-network substitution recorded
-//! in `DESIGN.md`).
+//! (Theorem 3, adjusted for the substitution of Batcher's `O(log² n)`-depth
+//! network for the idealized `O(log n)`-depth AKS network; see the
+//! `sortnet` row of `PAPER.md`'s module map).
 //!
 //! Every section of the sandwich stores its comparators in one lazily paged
 //! [`ComparatorSlab`]; sections differ only in how a process *looks up* the

@@ -72,8 +72,9 @@ impl fmt::Display for StepKind {
 /// Per-process step counts, broken down by [`StepKind`].
 ///
 /// `StepStats` is the value returned for every process by the
-/// [`Executor`](crate::executor::Executor) and is the quantity all
-/// experiments in `EXPERIMENTS.md` report.
+/// [`Executor`](crate::executor::Executor) and is the quantity the
+/// `exp_*` experiment binaries report (see the README's "Running the
+/// benches" section).
 ///
 /// # Example
 ///

@@ -23,7 +23,9 @@
 //!    without acquiring a splitter — an event of polynomially small
 //!    probability — falls back to a hardware-swap backup object, preserving
 //!    wait-freedom without affecting safety. (The original RatRace uses a
-//!    linear backup chain; the substitution is documented in `DESIGN.md`.)
+//!    linear backup chain; the hardware-swap object replaces it here because
+//!    the backup is reached with polynomially small probability and only
+//!    needs to be wait-free and safe.)
 
 use crate::hardware::HardwareTas;
 use crate::splitter::{Direction, RandomizedSplitter};

@@ -38,8 +38,10 @@
 //! charges no steps: every register operation charges exactly what it would
 //! if all rounds had been built up front.
 //!
-//! The substitution relative to the verbatim Tromp–Vitányi algorithm is
-//! documented in `DESIGN.md`.
+//! The substitution relative to the verbatim Tromp–Vitányi algorithm is the
+//! construction described above: commit-adopt rounds with a randomized
+//! conciliator and a compare-and-swap arbiter in place of the original
+//! protocol, with the same interface and cost profile.
 
 use crate::{Side, TwoPartyTas};
 use shmem::process::ProcessCtx;

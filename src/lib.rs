@@ -13,8 +13,9 @@
 //!   quiescently-consistent network counter.
 //! * [`maxreg`] — max registers.
 //!
-//! See `README.md` for a guided tour and `EXPERIMENTS.md` for the
-//! reproduction of the paper's quantitative claims.
+//! See `README.md` for a guided tour (its "Running the benches" section
+//! lists the experiment binaries that reproduce the paper's quantitative
+//! claims) and `PAPER.md` for the module → paper-section map.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
