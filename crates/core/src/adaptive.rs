@@ -28,9 +28,13 @@
 //! dense comparator slot. The huge outer sections — tens of thousands to
 //! billions of wires — ask the analytic schedule for the comparator and key
 //! their slab by `local_top × depth + stage`; their pages exist only where
-//! some process has played. Each comparator is a
-//! [`TwoProcessTas`] whose rounds past the second are grown on demand, so a
-//! first-touched comparator costs a few hundred bytes, not the worst case.
+//! some process has played. Each comparator is a 24-byte
+//! [`TwoProcessTas`] stored inline in its slab page (byte-wide registers;
+//! rounds past the second grown on demand), so a first-touched comparator
+//! costs no allocation of its own: in the §8.1 counter at `k ≈ 512`, an
+//! acquisition plays about 185 comparators and makes about 5 heap
+//! allocations (7.7 KB), against 105 (29 KB) with one boxed 240-byte
+//! comparator per cell (`tests/alloc_budget.rs`).
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
@@ -212,9 +216,13 @@ impl<T: TwoPartyTas + Default> AdaptiveRenaming<T> {
         &self.temp
     }
 
-    /// Number of comparator objects allocated so far (harness inspection).
+    /// Number of comparators some process has played to a decision so far
+    /// (harness inspection).
     pub fn allocated_comparators(&self) -> usize {
-        self.stores.iter().map(|store| store.slab.allocated()).sum()
+        self.stores
+            .iter()
+            .map(|store| store.slab.allocated(T::has_winner))
+            .sum()
     }
 
     /// Number of sections looked up through compiled wire maps (the rest

@@ -17,6 +17,7 @@ use crate::traits::Renaming;
 use shmem::process::ProcessCtx;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 use tas::ratrace::RatRaceTas;
 use tas::TestAndSet;
 
@@ -42,10 +43,10 @@ pub struct BitBatchingReport {
 /// other [`TestAndSet`] (for instance the hardware test-and-set for the
 /// unit-cost measure).
 ///
-/// The name vector is a lazily paged [`ComparatorSlab`]: constructing the
-/// object over `n` names allocates nothing, and a test-and-set object (and
-/// the page holding it) materializes only when some process first probes
-/// its slot
+/// The name vector is a lazily paged [`ComparatorSlab`] of `OnceLock` cells:
+/// constructing the object over `n` names allocates nothing, a page of empty
+/// cells is built when some process first reaches it, and a test-and-set
+/// object materializes only when some process first probes its slot
 /// (observable through [`BitBatchingRenaming::allocated_slots`]). With
 /// `k ≪ n` participants probing `O(log² n)` slots each, most of the vector
 /// is never built — the same lazy-slab principle the renaming-network engine
@@ -71,7 +72,7 @@ pub struct BitBatchingReport {
 /// ```
 pub struct BitBatchingRenaming<T: TestAndSet = RatRaceTas> {
     /// One lazily initialized cell per name.
-    slots: ComparatorSlab<T>,
+    slots: ComparatorSlab<OnceLock<T>>,
     /// Builds a slot's test-and-set on first probe. `None` only when the
     /// object was constructed from pre-built slots, in which case every cell
     /// is already initialized.
@@ -101,11 +102,15 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     ///
     /// Panics if fewer than 2 slots are supplied.
     pub fn with_slots(slots: Vec<T>) -> Self {
-        Self::from_parts(ComparatorSlab::from_values(slots), None)
+        let cells: ComparatorSlab<OnceLock<T>> = ComparatorSlab::new(slots.len());
+        for (index, slot) in slots.into_iter().enumerate() {
+            let _ = cells.get(index).set(slot);
+        }
+        Self::from_parts(cells, None)
     }
 
     fn from_parts(
-        slots: ComparatorSlab<T>,
+        slots: ComparatorSlab<OnceLock<T>>,
         factory: Option<Box<dyn Fn() -> T + Send + Sync>>,
     ) -> Self {
         let n = slots.len();
@@ -121,7 +126,7 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
 
     /// The test-and-set of one slot, created on first probe.
     fn slot(&self, index: usize) -> &T {
-        self.slots.get_with(index, || {
+        self.slots.get(index).get_or_init(|| {
             let factory = self
                 .factory
                 .as_ref()
@@ -133,7 +138,7 @@ impl<T: TestAndSet> BitBatchingRenaming<T> {
     /// Number of slot objects actually materialized so far (harness
     /// inspection; O(n)).
     pub fn allocated_slots(&self) -> usize {
-        self.slots.allocated()
+        self.slots.allocated(|slot| slot.get().is_some())
     }
 
     /// The batch layout for a vector of `n` objects: the first half, the next

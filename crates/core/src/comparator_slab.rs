@@ -15,21 +15,22 @@
 //! `O(1)` for any length and allocates nothing; memory grows with the keys
 //! processes actually touch.
 //!
-//! Each cell is itself a [`OnceLock`] holding a boxed object, which
-//! preserves the engines' lazy-allocation semantics (an object exists only
-//! once some process actually reaches it — observable through
-//! [`ComparatorSlab::allocated`]): every contender resolves first touch to
-//! the same object, and all later reads are one atomic acquire load per radix
-//! level plus the box dereference. Boxing keeps a page at 16 bytes per cell
-//! however large the object: processes touch the analytic sections of the
-//! §6.1 network sparsely (about 40% of the cells of a touched 16-cell page
-//! in the §8.1 counter workload), and with two-process test-and-sets stored
-//! inline that sparseness doubled the bytes allocated per acquisition and
-//! the counter's peak RSS.
+//! Cells are stored inline: a page is one `Box<[T]>` of `T::default()`
+//! objects, built when some process first reaches it, so a read after that
+//! is one atomic acquire load per radix level and an index — no per-cell
+//! allocation, lock or extra dereference. This suits small objects whose
+//! default state is "not yet played": a two-process test-and-set is 24
+//! bytes (a 1.5 KiB page), and processes touch the analytic sections of the
+//! §6.1 network sparsely, so a per-cell box would cost more than the cells
+//! it leaves unbuilt. An object built by a factory stores `OnceLock<T>`
+//! cells instead (`BitBatchingRenaming`). Because every cell of a page
+//! exists once the page does, [`ComparatorSlab::allocated`] counts the cells
+//! that have been *played*, through a predicate the caller supplies for its
+//! cell type.
 //!
 //! The only blocking the slab can introduce is per-node and one-time — a
-//! contender arriving while a node or a cell's initializer is still running
-//! waits for it — after which that node is immutable and lock-free forever.
+//! contender arriving while a node's initializer is still running waits for
+//! it — after which that node is immutable and lock-free forever.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -37,7 +38,7 @@ use std::sync::OnceLock;
 /// log2 of [`PAGE_CELLS`].
 const PAGE_BITS: u32 = 6;
 
-/// Cells per page: the unit in which cell storage is allocated (1 KiB).
+/// Cells per page: the unit in which cell storage is allocated.
 const PAGE_CELLS: usize = 1 << PAGE_BITS;
 
 /// log2 of the number of children of an interior radix node.
@@ -47,36 +48,38 @@ const FANOUT_BITS: u32 = 6;
 /// cells.
 enum Node<T> {
     Branch(Box<[OnceLock<Node<T>>]>),
-    Page(Box<[OnceLock<Box<T>>]>),
+    Page(Box<[T]>),
 }
 
-impl<T> Node<T> {
+impl<T: Default> Node<T> {
     /// An empty node `level` radix levels above the pages, with `width`
-    /// children (or cells, for a page).
+    /// children (or default cells, for a page).
     fn empty(level: u32, width: usize) -> Self {
         if level == 0 {
-            Node::Page((0..width).map(|_| OnceLock::new()).collect())
+            Node::Page((0..width).map(|_| T::default()).collect())
         } else {
             Node::Branch((0..width).map(|_| OnceLock::new()).collect())
         }
     }
+}
 
-    /// Number of initialized cells at or below this node.
-    fn allocated(&self) -> usize {
+impl<T> Node<T> {
+    /// Number of cells at or below this node for which `played` holds.
+    fn allocated(&self, played: &impl Fn(&T) -> bool) -> usize {
         match self {
             Node::Branch(children) => children
                 .iter()
                 .filter_map(OnceLock::get)
-                .map(Node::allocated)
+                .map(|child| child.allocated(played))
                 .sum(),
-            Node::Page(cells) => cells.iter().filter(|cell| cell.get().is_some()).count(),
+            Node::Page(cells) => cells.iter().filter(|cell| played(cell)).count(),
         }
     }
 }
 
-/// A fixed-capacity slab of lazily created `T`s, one per dense key.
+/// A fixed-capacity slab of lazily paged `T`s, one per dense key.
 ///
-/// Reads after initialization are one atomic acquire load per radix level
+/// Reads after a page exists are one atomic acquire load per radix level
 /// (4 for a `2^24`-key slab, 11 for a `2^64`-key one); the returned
 /// reference borrows from the slab, so playing a comparator performs no
 /// reference-count traffic at all.
@@ -90,11 +93,12 @@ impl<T> Node<T> {
 /// #[derive(Default)]
 /// struct Cell(AtomicUsize);
 ///
+/// let played = |cell: &Cell| cell.0.load(Ordering::Relaxed) > 0;
 /// let slab: ComparatorSlab<Cell> = ComparatorSlab::new(1 << 40);
-/// assert_eq!(slab.allocated(), 0);
+/// assert_eq!(slab.allocated(played), 0);
 /// slab.get(1 << 39).0.fetch_add(1, Ordering::Relaxed);
 /// slab.get(1 << 39).0.fetch_add(1, Ordering::Relaxed);
-/// assert_eq!(slab.allocated(), 1);
+/// assert_eq!(slab.allocated(played), 1);
 /// assert_eq!(slab.get(1 << 39).0.load(Ordering::Relaxed), 2);
 /// ```
 pub struct ComparatorSlab<T> {
@@ -106,9 +110,9 @@ pub struct ComparatorSlab<T> {
     root: OnceLock<Node<T>>,
 }
 
-impl<T> ComparatorSlab<T> {
-    /// Creates a slab with `len` empty cells. `O(1)` time and no allocation
-    /// for every `len`.
+impl<T: Default> ComparatorSlab<T> {
+    /// Creates a slab with `len` unbuilt cells. `O(1)` time and no
+    /// allocation for every `len`.
     pub fn new(len: usize) -> Self {
         let key_bits = usize::BITS - len.saturating_sub(1).leading_zeros();
         let height = key_bits.saturating_sub(PAGE_BITS).div_ceil(FANOUT_BITS);
@@ -123,18 +127,6 @@ impl<T> ComparatorSlab<T> {
             root_width,
             root: OnceLock::new(),
         }
-    }
-
-    /// Creates a slab whose cells are pre-filled with the given values (used
-    /// when the caller supplies ready-made objects instead of relying on
-    /// lazy creation, e.g. `BitBatchingRenaming::with_slots`).
-    pub fn from_values<I: IntoIterator<Item = T>>(values: I) -> Self {
-        let values: Vec<T> = values.into_iter().collect();
-        let slab = Self::new(values.len());
-        for (slot, value) in values.into_iter().enumerate() {
-            let _ = slab.cell(slot).set(Box::new(value));
-        }
-        slab
     }
 
     /// Bit position of the child index in a node `level` levels above the
@@ -154,8 +146,14 @@ impl<T> ComparatorSlab<T> {
         (slot >> Self::shift(level)) & ((1 << bits) - 1)
     }
 
-    /// The cell of `slot`, creating the pages and nodes on its path.
-    fn cell(&self, slot: usize) -> &OnceLock<Box<T>> {
+    /// The object at `slot`, building the pages and nodes on its path on
+    /// first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.len()`.
+    #[inline]
+    pub fn get(&self, slot: usize) -> &T {
         assert!(
             slot < self.len,
             "slot {slot} out of range for a slab of {} cells",
@@ -182,18 +180,7 @@ impl<T> ComparatorSlab<T> {
         }
     }
 
-    /// The object at `slot`, created by `init` on first touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= self.len()`.
-    #[inline]
-    pub fn get_with<F: FnOnce() -> T>(&self, slot: usize, init: F) -> &T {
-        self.cell(slot).get_or_init(|| Box::new(init()))
-    }
-
-    /// The object at `slot` if some process already touched it. Creates
-    /// nothing.
+    /// The object at `slot` if its page already exists. Builds nothing.
     pub fn peek(&self, slot: usize) -> Option<&T> {
         if slot >= self.len {
             return None;
@@ -203,7 +190,7 @@ impl<T> ComparatorSlab<T> {
         loop {
             let index = Self::child_index(slot, level);
             match node {
-                Node::Page(cells) => return cells[index].get().map(|cell| &**cell),
+                Node::Page(cells) => return Some(&cells[index]),
                 Node::Branch(children) => {
                     level -= 1;
                     node = children[index].get()?;
@@ -222,22 +209,12 @@ impl<T> ComparatorSlab<T> {
         self.len == 0
     }
 
-    /// Number of objects created so far (harness inspection; linear in the
-    /// pages created, not in `len`).
-    pub fn allocated(&self) -> usize {
-        self.root.get().map_or(0, Node::allocated)
-    }
-}
-
-impl<T: Default> ComparatorSlab<T> {
-    /// The object at `slot`, default-created on first touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= self.len()`.
-    #[inline]
-    pub fn get(&self, slot: usize) -> &T {
-        self.get_with(slot, T::default)
+    /// Number of built cells for which `played` holds (harness inspection;
+    /// linear in the pages built, not in `len`). Cells of a page that no
+    /// process played are in their default state, so `played` tells them
+    /// apart: `has_winner` for a test-and-set, for instance.
+    pub fn allocated(&self, played: impl Fn(&T) -> bool) -> usize {
+        self.root.get().map_or(0, |root| root.allocated(&played))
     }
 }
 
@@ -258,17 +235,32 @@ mod tests {
     #[derive(Default)]
     struct Counter(AtomicUsize);
 
+    impl Counter {
+        fn bump(&self) {
+            self.0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only counter; threads joined before any assert)
+        }
+
+        fn value(&self) -> usize {
+            self.0.load(Ordering::Relaxed) // lint: relaxed-ok(test-only counter; threads joined before any assert)
+        }
+
+        fn played(&self) -> bool {
+            self.value() > 0
+        }
+    }
+
     #[test]
     fn cells_initialize_lazily_and_once() {
         let slab: ComparatorSlab<Counter> = ComparatorSlab::new(8);
         assert_eq!(slab.len(), 8);
         assert!(!slab.is_empty());
-        assert_eq!(slab.allocated(), 0);
+        assert_eq!(slab.allocated(Counter::played), 0);
         assert!(slab.peek(3).is_none());
-        slab.get(3).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only single-threaded counter)
-        slab.get(3).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only single-threaded counter)
-        assert_eq!(slab.allocated(), 1);
-        assert_eq!(slab.peek(3).unwrap().0.load(Ordering::Relaxed), 2); // lint: relaxed-ok(test-only single-threaded counter)
+        slab.get(3).bump();
+        slab.get(3).bump();
+        assert_eq!(slab.allocated(Counter::played), 1);
+        assert_eq!(slab.peek(3).unwrap().value(), 2);
+        assert_eq!(slab.peek(4).unwrap().value(), 0, "built with the page");
         assert!(slab.peek(99).is_none(), "out-of-range peek is None");
     }
 
@@ -280,15 +272,14 @@ mod tests {
                 let slab = Arc::clone(&slab);
                 scope.spawn(move || {
                     for slot in 0..4 {
-                        slab.get(slot).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only counter; threads joined before the assert)
+                        slab.get(slot).bump();
                     }
                 });
             }
         });
-        assert_eq!(slab.allocated(), 4);
+        assert_eq!(slab.allocated(Counter::played), 4);
         for slot in 0..4 {
-            // lint: relaxed-ok(test-only counter; threads joined before the assert)
-            assert_eq!(slab.get(slot).0.load(Ordering::Relaxed), 8, "slot {slot}");
+            assert_eq!(slab.get(slot).value(), 8, "slot {slot}");
         }
     }
 
@@ -305,16 +296,14 @@ mod tests {
                 let (slab, keys) = (&slab, &keys);
                 scope.spawn(move || {
                     for i in 0..keys.len() {
-                        let key = keys[(i + 5 * t) % keys.len()];
-                        slab.get(key).0.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(test-only counter; threads joined before the assert)
+                        slab.get(keys[(i + 5 * t) % keys.len()]).bump();
                     }
                 });
             }
         });
-        assert_eq!(slab.allocated(), keys.len());
+        assert_eq!(slab.allocated(Counter::played), keys.len());
         for &key in &keys {
-            // lint: relaxed-ok(test-only counter; threads joined before the assert)
-            assert_eq!(slab.peek(key).unwrap().0.load(Ordering::Relaxed), threads);
+            assert_eq!(slab.peek(key).unwrap().value(), threads);
         }
     }
 
@@ -324,22 +313,23 @@ mod tests {
         let section_cells = (1usize << 32) * 528;
         let slab: ComparatorSlab<Counter> = ComparatorSlab::new(section_cells);
         assert_eq!(slab.len(), section_cells);
-        slab.get(section_cells - 1);
-        slab.get(0);
-        assert_eq!(slab.allocated(), 2);
-        assert!(slab.peek(section_cells - 1).is_some());
-        assert!(slab.peek(section_cells - 2).is_none());
+        slab.get(section_cells - 1).bump();
+        slab.get(0).bump();
+        assert_eq!(slab.allocated(Counter::played), 2);
+        assert!(slab.peek(section_cells - 1).unwrap().played());
+        assert!(!slab.peek(section_cells - 2).unwrap().played());
+        assert!(slab.peek(section_cells - 1 - PAGE_CELLS).is_none());
 
         // The splitter tree: heap indices below 2^60.
         let tree: ComparatorSlab<Counter> = ComparatorSlab::new(1 << 60);
-        tree.get((1 << 60) - 1);
+        tree.get((1 << 60) - 1).bump();
         assert!(tree.peek((1 << 60) - 1).is_some());
-        assert_eq!(tree.allocated(), 1);
+        assert_eq!(tree.allocated(Counter::played), 1);
 
         // The full key space.
         let full: ComparatorSlab<Counter> = ComparatorSlab::new(usize::MAX);
-        full.get(usize::MAX - 1);
-        assert_eq!(full.allocated(), 1);
+        full.get(usize::MAX - 1).bump();
+        assert_eq!(full.allocated(Counter::played), 1);
     }
 
     #[test]
@@ -363,30 +353,44 @@ mod tests {
         let slab: ComparatorSlab<Counter> = ComparatorSlab::new(5_000);
         let touched = [0usize, 1, 63, 64, 65, 4095, 4096, 4999];
         for &slot in &touched {
-            slab.get(slot);
+            slab.get(slot).bump();
         }
-        let peeked = (0..slab.len())
+        let played = (0..slab.len())
+            .filter(|&slot| slab.peek(slot).is_some_and(Counter::played))
+            .count();
+        assert_eq!(played, touched.len());
+        assert_eq!(slab.allocated(Counter::played), touched.len());
+        // Pages 0, 1, 63, 64 and 78 were built whole; only 8 cells of the
+        // last are in range.
+        let built = (0..slab.len())
             .filter(|&slot| slab.peek(slot).is_some())
             .count();
-        assert_eq!(peeked, touched.len());
-        assert_eq!(slab.allocated(), touched.len());
+        assert_eq!(built, 4 * PAGE_CELLS + 5_000 % PAGE_CELLS);
+        assert_eq!(slab.allocated(|_| true), 5 * PAGE_CELLS);
     }
 
     #[test]
     fn values_fill_every_cell() {
-        let slab = ComparatorSlab::from_values((0..100).map(AtomicUsize::new));
+        // Factory-built objects sit in `OnceLock` cells, set one by one.
+        let slab: ComparatorSlab<OnceLock<usize>> = ComparatorSlab::new(100);
+        let set = |cell: &OnceLock<usize>| cell.get().is_some();
+        for slot in 0..100 {
+            assert!(slab.get(slot).set(slot).is_ok());
+        }
         assert_eq!(slab.len(), 100);
-        assert_eq!(slab.allocated(), 100);
-        assert_eq!(slab.peek(57).unwrap().load(Ordering::Relaxed), 57); // lint: relaxed-ok(test-only single-threaded value)
-        let last = slab.get_with(99, || unreachable!("pre-filled cells never initialize"));
-        assert_eq!(last.load(Ordering::Relaxed), 99); // lint: relaxed-ok(test-only single-threaded value)
+        assert_eq!(slab.allocated(set), 100);
+        assert_eq!(slab.peek(57).and_then(OnceLock::get), Some(&57));
+        let last = slab
+            .get(99)
+            .get_or_init(|| unreachable!("filled cells never initialize"));
+        assert_eq!(*last, 99);
     }
 
     #[test]
     fn zero_length_slab_is_empty() {
         let slab: ComparatorSlab<Counter> = ComparatorSlab::new(0);
         assert!(slab.is_empty());
-        assert_eq!(slab.allocated(), 0);
+        assert_eq!(slab.allocated(Counter::played), 0);
         assert!(slab.peek(0).is_none());
         assert!(format!("{slab:?}").contains("ComparatorSlab"));
     }

@@ -20,11 +20,12 @@
 //! stage?" with one array load — and stores the comparator test-and-sets in a
 //! [`ComparatorSlab`] indexed by the
 //! compiled dense slot. The traversal hot path performs no hashing, no
-//! reference-count traffic and no locking beyond each page's and cell's
-//! one-time initialization: per stage, one wire-map load, one atomic load
-//! per radix level of the slab, and the test-and-set itself. Comparator
-//! objects are still created lazily on first touch
-//! ([`RenamingNetwork::allocated_comparators`] observes this).
+//! reference-count traffic and no locking beyond each page's one-time
+//! initialization: per stage, one wire-map load, one atomic load per radix
+//! level of the slab, and the test-and-set itself. Comparators are built a
+//! page at a time, in their unplayed default state, when some process first
+//! reaches the page ([`RenamingNetwork::allocated_comparators`] counts the
+//! ones played).
 
 use crate::comparator_slab::ComparatorSlab;
 use crate::error::RenamingError;
@@ -187,9 +188,10 @@ impl<T: TwoPartyTas + Default> RenamingNetwork<T> {
         self.slab.len()
     }
 
-    /// Number of comparator objects allocated so far (harness inspection).
+    /// Number of comparators some process has played to a decision so far
+    /// (harness inspection).
     pub fn allocated_comparators(&self) -> usize {
-        self.slab.allocated()
+        self.slab.allocated(T::has_winner)
     }
 
     /// Runs the calling process through the network from the input port given

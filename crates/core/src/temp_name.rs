@@ -10,8 +10,8 @@
 //! bound only affects the step complexity.
 //!
 //! The splitters live in a lazily paged [`ComparatorSlab`] keyed by heap
-//! index: a splitter, and the page holding it, exists only once some process
-//! reaches that node, and finding it takes one atomic load per radix level —
+//! index: the page holding a splitter exists only once some process reaches
+//! one of its nodes, and finding it takes one atomic load per radix level —
 //! no lock and no hashing on the descent.
 
 use crate::comparator_slab::ComparatorSlab;
@@ -70,9 +70,10 @@ impl TempName {
         }
     }
 
-    /// Number of splitters allocated so far (harness inspection hook).
+    /// Number of splitters some process has entered so far (harness
+    /// inspection hook).
     pub fn allocated_splitters(&self) -> usize {
-        self.splitters.allocated()
+        self.splitters.allocated(RandomizedSplitter::is_entered)
     }
 
     /// Acquires a unique temporary name.

@@ -67,15 +67,30 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Identifier of a shared-memory location (one register, balancer word or
 /// other atomic cell), used to key read/write dependency analysis.
 ///
-/// Every register allocates a fresh `Loc` at construction from a global
-/// counter, so two operations conflict only if they touch the same word.
-/// Construction order is deterministic for a given program, which is all the
-/// dependency analysis needs: locations are only ever compared *within* one
-/// execution.
+/// Locations come from three disjoint tag spaces, so two operations
+/// conflict only if they touch the same word:
+///
+/// * [`Loc::fresh`] draws an id from a global counter (ids from 1 up);
+///   the word-sized registers of `shmem::register` take one at construction.
+/// * [`Loc::of`] derives the location from a word's address at access time
+///   (bit 62 set). Small objects built in bulk, such as the byte-wide
+///   registers of the two-process test-and-set, use it so that
+///   constructing them touches no global counter.
+/// * Arena words derive theirs from the arena id and offset (bit 63 set;
+///   see `Arena::loc_for`).
+///
+/// Raw ids are not stable across executions that rebuild their shared
+/// objects (counter order and heap addresses may both differ), which the
+/// dependency analysis does not need: locations are only ever compared
+/// *within* one execution, and the explorers rename them by first
+/// appearance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Loc(u64);
 
 static NEXT_LOC: AtomicU64 = AtomicU64::new(1);
+
+/// Tag bit of address-derived locations ([`Loc::of`]).
+const ADDRESS_TAG: u64 = 1 << 62;
 
 impl Loc {
     /// The anonymous location, used by [`ProcessCtx::record`] call sites that
@@ -86,6 +101,16 @@ impl Loc {
     /// Allocates a fresh, globally unique location identifier.
     pub fn fresh() -> Loc {
         Loc(NEXT_LOC.fetch_add(1, Ordering::Relaxed)) // lint: relaxed-ok(unique id allocation only; no data is published through this counter)
+    }
+
+    /// The location of the word `word` points at, derived from its address.
+    ///
+    /// Two live words never share an address, so their locations differ;
+    /// the tag keeps them apart from counter ids and arena locations
+    /// (user-space addresses stay below bit 62).
+    #[inline]
+    pub fn of<T>(word: &T) -> Loc {
+        Loc(ADDRESS_TAG | (word as *const T as usize as u64 & (ADDRESS_TAG - 1)))
     }
 
     /// Whether this is the anonymous (conservatively conflicting) location.
@@ -756,6 +781,16 @@ mod tests {
         assert_ne!(a, b);
         assert!(!a.is_anon());
         assert!(Loc::ANON.is_anon());
+    }
+
+    #[test]
+    fn address_locs_are_per_word_and_disjoint_from_counter_ids() {
+        let words = [0u8; 2];
+        assert_eq!(Loc::of(&words[0]), Loc::of(&words[0]));
+        assert_ne!(Loc::of(&words[0]), Loc::of(&words[1]));
+        let tagged = Loc::of(&words[0]).as_u64();
+        assert_eq!(tagged & (3 << 62), 1 << 62, "bit 62 set, bit 63 clear");
+        assert!(tagged > Loc::fresh().as_u64());
     }
 
     #[test]

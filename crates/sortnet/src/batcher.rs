@@ -24,17 +24,18 @@
 use crate::network::{Comparator, ComparatorNetwork};
 use crate::schedule::ComparatorSchedule;
 
-/// Returns `true` if stage `(p, k)` of the odd-even mergesort network on
-/// `phys` (power-of-two) wires contains the comparator `(a, a + k)`, and
-/// that comparator survives truncation to `width` wires.
-fn is_lower_wire(phys: usize, width: usize, p: usize, k: usize, a: usize) -> bool {
-    debug_assert!(phys.is_power_of_two());
-    let j0 = k % p;
-    a + k < width
-        && a + k < phys
-        && a >= j0
-        && (a - j0) % (2 * k) < k
-        && a / (2 * p) == (a + k) / (2 * p)
+/// Returns `true` if stage `(p, k)` of the odd-even mergesort network
+/// contains the comparator `(a, a + k)`, and that comparator survives
+/// truncation to `width` wires (at most the network's power-of-two width).
+///
+/// `p` and `k ≤ p` are powers of two, so the schedule's divisions reduce to
+/// bit tests: `k % p` is `k & (p - 1)`, `x % 2k < k` says bit `k` of `x` is
+/// clear, and `a` and `a + k` share a block of `2p` wires exactly when they
+/// agree on every bit from `2p` up.
+fn is_lower_wire(width: usize, p: usize, k: usize, a: usize) -> bool {
+    debug_assert!(p.is_power_of_two() && k.is_power_of_two() && k <= p);
+    let j0 = k & (p - 1);
+    a + k < width && a >= j0 && (a - j0) & k == 0 && (a ^ (a + k)) < 2 * p
 }
 
 /// The `(p, k)` parameters of every stage, in execution order.
@@ -110,10 +111,10 @@ impl ComparatorSchedule for OddEvenSchedule {
         if wire >= self.width {
             return None;
         }
-        if is_lower_wire(self.phys, self.width, p, k, wire) {
+        if is_lower_wire(self.width, p, k, wire) {
             return Some(Comparator::new(wire, wire + k));
         }
-        if wire >= k && is_lower_wire(self.phys, self.width, p, k, wire - k) {
+        if wire >= k && is_lower_wire(self.width, p, k, wire - k) {
             return Some(Comparator::new(wire - k, wire));
         }
         None
@@ -185,6 +186,73 @@ mod tests {
             // network drops empty stages, so compare via full materialization.
             let rebuilt = schedule.materialize();
             assert_eq!(rebuilt, network, "width {width}");
+        }
+    }
+
+    /// The division-based form of [`is_lower_wire`], kept as the reference
+    /// the bit-test form is checked against.
+    fn reference_is_lower_wire(phys: usize, width: usize, p: usize, k: usize, a: usize) -> bool {
+        let j0 = k % p;
+        a + k < width
+            && a + k < phys
+            && a >= j0
+            && (a - j0) % (2 * k) < k
+            && a / (2 * p) == (a + k) / (2 * p)
+    }
+
+    /// [`OddEvenSchedule::comparator_at`] through the reference formula.
+    fn reference_comparator_at(
+        schedule: &OddEvenSchedule,
+        stage: usize,
+        wire: usize,
+    ) -> Option<Comparator> {
+        let (phys, width) = (schedule.phys, schedule.width);
+        let &(p, k) = schedule.stages.get(stage)?;
+        if wire >= width {
+            return None;
+        }
+        if reference_is_lower_wire(phys, width, p, k, wire) {
+            return Some(Comparator::new(wire, wire + k));
+        }
+        if wire >= k && reference_is_lower_wire(phys, width, p, k, wire - k) {
+            return Some(Comparator::new(wire - k, wire));
+        }
+        None
+    }
+
+    #[test]
+    fn comparator_lookup_matches_the_division_formula() {
+        for width in 2..=300 {
+            let schedule = OddEvenSchedule::new(width);
+            for stage in 0..schedule.depth() {
+                for wire in 0..=width {
+                    assert_eq!(
+                        schedule.comparator_at(stage, wire),
+                        reference_comparator_at(&schedule, stage, wire),
+                        "width {width}, stage {stage}, wire {wire}"
+                    );
+                }
+            }
+        }
+        // A truncated outer-section width: every stage at wires near both
+        // ends, block boundaries and a stride through the middle.
+        let width = 65_408;
+        let schedule = OddEvenSchedule::new(width);
+        let wires = (0..64)
+            .chain((0..width).step_by(97))
+            .chain((1..=16).flat_map(|bit| {
+                let edge = 1usize << bit;
+                edge.saturating_sub(2)..(edge + 2).min(width + 1)
+            }))
+            .chain(width - 64..=width);
+        for wire in wires {
+            for stage in 0..schedule.depth() {
+                assert_eq!(
+                    schedule.comparator_at(stage, wire),
+                    reference_comparator_at(&schedule, stage, wire),
+                    "width {width}, stage {stage}, wire {wire}"
+                );
+            }
         }
     }
 

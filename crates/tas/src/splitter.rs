@@ -82,7 +82,7 @@ impl Direction {
 /// assert_eq!(splitter.enter(&mut ctx), SplitterOutcome::Acquired);
 /// assert!(splitter.is_acquired());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RandomizedSplitter {
     /// The "name" register X: last process to enter.
     name: AtomicUsizeRegister,
@@ -123,6 +123,18 @@ impl RandomizedSplitter {
     /// hook; charges no steps).
     pub fn is_acquired(&self) -> bool {
         self.acquired.peek()
+    }
+
+    /// Whether some process has entered this splitter (harness inspection
+    /// hook; charges no steps).
+    pub fn is_entered(&self) -> bool {
+        self.name.peek() != EMPTY
+    }
+}
+
+impl Default for RandomizedSplitter {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

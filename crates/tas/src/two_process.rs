@@ -27,16 +27,23 @@
 //!   without ever compromising safety, and mirrors the paper's remark that
 //!   hardware test-and-set/compare-and-swap may be assumed at unit cost.
 //!
-//! # Lazily grown rounds
+//! # Byte-wide registers and lazily grown rounds
+//!
+//! Every register of the object only ever holds ⊥, top or bottom, so each
+//! is one [`AtomicU8`]. Each register operation still charges exactly one
+//! §2 step to the calling process, at a [`Loc`] derived from the byte's
+//! address ([`Loc::of`]), so constructing the object touches no global
+//! counter.
 //!
 //! An uncontended or sequential pair decides in the first commit-adopt
 //! round, and the conciliator makes a contended pair agree within a round
-//! or two in expectation, so only the first two rounds are stored inline. The remaining rounds and the
-//! arbiter form one tail block, allocated by whichever process first enters
-//! round 2 (a [`OnceLock`], so both sides see the same registers).
-//! Constructing the object performs no heap allocation, and growing the tail
-//! charges no steps: every register operation charges exactly what it would
-//! if all rounds had been built up front.
+//! or two in expectation, so only the first two rounds are stored inline.
+//! The remaining rounds and the arbiter form one tail block, allocated by
+//! whichever process first enters round 2 (a [`OnceLock`], so both sides
+//! see the same registers). The object is 24 bytes on 64-bit targets,
+//! constructing it performs no heap allocation, and growing the tail
+//! charges no steps: every register operation charges exactly what it
+//! would if all rounds had been built up front.
 //!
 //! The substitution relative to the verbatim Tromp–Vitányi algorithm is the
 //! construction described above: commit-adopt rounds with a randomized
@@ -45,8 +52,9 @@
 
 use crate::{Side, TwoPartyTas};
 use shmem::process::ProcessCtx;
-use shmem::register::AtomicUsizeRegister;
 use shmem::steps::StepKind;
+use shmem::vexec::Loc;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Number of purely register-based rounds before the arbiter escape hatch.
@@ -60,34 +68,68 @@ const TOTAL_ROUNDS: usize = RANDOM_ROUNDS + 2;
 /// allocated [`Tail`].
 const INLINE_ROUNDS: usize = 2;
 
-/// Sentinel meaning "no value written yet".
-const EMPTY: usize = usize::MAX;
+/// Sentinel meaning "no value written yet" (⊥). Every other value a
+/// register holds is a side's [`Side::index`].
+const EMPTY: u8 = u8::MAX;
+
+/// A multi-writer multi-reader atomic register holding ⊥, top or bottom.
+/// Every operation but [`ByteRegister::peek`] charges one step.
+#[derive(Debug)]
+struct ByteRegister(AtomicU8);
+
+impl ByteRegister {
+    const fn new() -> Self {
+        ByteRegister(AtomicU8::new(EMPTY))
+    }
+
+    fn loc(&self) -> Loc {
+        Loc::of(self)
+    }
+
+    fn read(&self, ctx: &mut ProcessCtx) -> u8 {
+        ctx.record_at(StepKind::RegisterRead, self.loc());
+        self.0.load(Ordering::SeqCst)
+    }
+
+    fn write(&self, ctx: &mut ProcessCtx, value: u8) {
+        ctx.record_at(StepKind::RegisterWrite, self.loc());
+        self.0.store(value, Ordering::SeqCst);
+    }
+
+    /// Installs `value` if the register still holds ⊥.
+    fn compare_and_swap_empty(&self, ctx: &mut ProcessCtx, value: u8) {
+        ctx.record_at(StepKind::ReadModifyWrite, self.loc());
+        let _ = self
+            .0
+            .compare_exchange(EMPTY, value, Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    /// Reads without charging a step (harness inspection only).
+    fn peek(&self) -> u8 {
+        self.0.load(Ordering::SeqCst)
+    }
+}
 
 /// One round's worth of shared registers.
 #[derive(Debug)]
 struct Round {
-    /// Proposal register of the top-side process (single writer).
-    proposal_top: AtomicUsizeRegister,
-    /// Proposal register of the bottom-side process (single writer).
-    proposal_bottom: AtomicUsizeRegister,
+    /// Proposal registers of the top-side and bottom-side processes, indexed
+    /// by [`Side::index`] (single writer each).
+    proposals: [ByteRegister; 2],
     /// Race register used by the randomized conciliator.
-    race: AtomicUsizeRegister,
+    race: ByteRegister,
 }
 
 impl Round {
-    fn new() -> Self {
+    const fn new() -> Self {
         Round {
-            proposal_top: AtomicUsizeRegister::new(EMPTY),
-            proposal_bottom: AtomicUsizeRegister::new(EMPTY),
-            race: AtomicUsizeRegister::new(EMPTY),
+            proposals: [ByteRegister::new(), ByteRegister::new()],
+            race: ByteRegister::new(),
         }
     }
 
-    fn proposal(&self, side: Side) -> &AtomicUsizeRegister {
-        match side {
-            Side::Top => &self.proposal_top,
-            Side::Bottom => &self.proposal_bottom,
-        }
+    fn proposal(&self, side: Side) -> &ByteRegister {
+        &self.proposals[side.index()]
     }
 }
 
@@ -97,7 +139,7 @@ impl Round {
 struct Tail {
     rounds: [Round; TOTAL_ROUNDS - INLINE_ROUNDS],
     /// Compare-and-swap arbiter used only by the escape-hatch round.
-    arbiter: AtomicUsizeRegister,
+    arbiter: ByteRegister,
 }
 
 /// A one-shot randomized two-process test-and-set built from registers.
@@ -124,10 +166,10 @@ struct Tail {
 pub struct TwoProcessTas {
     /// The first [`INLINE_ROUNDS`] rounds.
     head: [Round; INLINE_ROUNDS],
+    /// Harness-only record of the decided winner side (no algorithmic role).
+    decided: ByteRegister,
     /// The remaining rounds and the arbiter, created on first use.
     tail: OnceLock<Box<Tail>>,
-    /// Harness-only record of the decided winner side (no algorithmic role).
-    decided: AtomicUsizeRegister,
 }
 
 impl TwoProcessTas {
@@ -138,8 +180,8 @@ impl TwoProcessTas {
     pub fn new() -> Self {
         TwoProcessTas {
             head: [Round::new(), Round::new()],
+            decided: ByteRegister::new(),
             tail: OnceLock::new(),
-            decided: AtomicUsizeRegister::new(EMPTY),
         }
     }
 
@@ -148,8 +190,8 @@ impl TwoProcessTas {
     fn tail(&self) -> &Tail {
         self.tail.get_or_init(|| {
             Box::new(Tail {
-                rounds: std::array::from_fn(|_| Round::new()),
-                arbiter: AtomicUsizeRegister::new(EMPTY),
+                rounds: [const { Round::new() }; TOTAL_ROUNDS - INLINE_ROUNDS],
+                arbiter: ByteRegister::new(),
             })
         })
     }
@@ -180,8 +222,8 @@ impl TwoProcessTas {
         ctx: &mut ProcessCtx,
         round: &Round,
         side: Side,
-        preference: usize,
-    ) -> Result<usize, usize> {
+        preference: u8,
+    ) -> Result<u8, u8> {
         round.proposal(side).write(ctx, preference);
         let other = round.proposal(side.other()).read(ctx);
         if other == EMPTY || other == preference {
@@ -193,7 +235,7 @@ impl TwoProcessTas {
 
     /// The randomized race conciliator: nudges both preferences towards a
     /// common value.
-    fn race_conciliator(&self, ctx: &mut ProcessCtx, round: &Round, preference: usize) -> usize {
+    fn race_conciliator(&self, ctx: &mut ProcessCtx, round: &Round, preference: u8) -> u8 {
         if ctx.flip() == 0 {
             round.race.write(ctx, preference);
             let seen = round.race.read(ctx);
@@ -215,9 +257,9 @@ impl TwoProcessTas {
 
     /// The arbiter conciliator: a single compare-and-swap that forces both
     /// preferences to the first value installed.
-    fn arbiter_conciliator(&self, ctx: &mut ProcessCtx, preference: usize) -> usize {
+    fn arbiter_conciliator(&self, ctx: &mut ProcessCtx, preference: u8) -> u8 {
         let arbiter = &self.tail().arbiter;
-        let _ = arbiter.compare_and_swap(ctx, EMPTY, preference);
+        arbiter.compare_and_swap_empty(ctx, preference);
         arbiter.read(ctx)
     }
 }
@@ -231,19 +273,17 @@ impl Default for TwoProcessTas {
 impl TwoPartyTas for TwoProcessTas {
     fn play(&self, ctx: &mut ProcessCtx, side: Side) -> bool {
         ctx.record(StepKind::TasInvocation);
-        let mut preference = side.index();
+        let mine = side.index() as u8;
+        let mut preference = mine;
         for index in 0..TOTAL_ROUNDS {
             let round = self.round(index);
             match self.commit_adopt(ctx, round, side, preference) {
                 Ok(winner) => {
                     // Harness bookkeeping only; not part of the algorithm.
                     if self.decided.peek() == EMPTY {
-                        self.decided
-                            .compare_and_swap(ctx, EMPTY, winner)
-                            .map(|_| ())
-                            .unwrap_or(());
+                        self.decided.compare_and_swap_empty(ctx, winner);
                     }
-                    return winner == side.index();
+                    return winner == mine;
                 }
                 Err(adopted) => preference = adopted,
             }
@@ -366,6 +406,49 @@ mod tests {
     }
 
     #[test]
+    fn the_object_fits_in_32_bytes() {
+        assert!(
+            std::mem::size_of::<TwoProcessTas>() <= 32,
+            "TwoProcessTas is {} bytes",
+            std::mem::size_of::<TwoProcessTas>()
+        );
+    }
+
+    #[test]
+    fn solo_and_sequential_plays_charge_the_pinned_steps() {
+        use shmem::steps::StepStats;
+        for seed in 0..SEEDS {
+            let tas = TwoProcessTas::new();
+            let mut winner = ProcessCtx::new(ProcessId::new(0), seed);
+            let mut loser = ProcessCtx::new(ProcessId::new(1), seed);
+            assert!(tas.play(&mut winner, Side::Top));
+            assert!(!tas.play(&mut loser, Side::Bottom));
+            // Round 0: proposal write and read, then the decision CAS.
+            let solo = StepStats {
+                reads: 1,
+                writes: 1,
+                rmws: 1,
+                tas_invocations: 1,
+                ..StepStats::default()
+            };
+            assert_eq!(winner.stats(), solo, "seed {seed}");
+            assert_eq!(winner.stats().total(), 3);
+            // Round 0 conflicts, one coin picks the conciliator's order
+            // (a write and a read either way), round 1 commits the adopted
+            // value; the decision is already recorded.
+            let sequential_loser = StepStats {
+                reads: 3,
+                writes: 3,
+                tas_invocations: 1,
+                coin_flips: 1,
+                ..StepStats::default()
+            };
+            assert_eq!(loser.stats(), sequential_loser, "seed {seed}");
+            assert_eq!(loser.stats().total(), 7);
+        }
+    }
+
+    #[test]
     fn construction_allocates_only_the_inline_rounds() {
         let tas = TwoProcessTas::new();
         assert!(tas.tail.get().is_none());
@@ -378,8 +461,8 @@ mod tests {
     fn register_locs(tas: &TwoProcessTas) -> Vec<shmem::vexec::Loc> {
         let round_locs = |round: &Round| {
             [
-                round.proposal_top.loc(),
-                round.proposal_bottom.loc(),
+                round.proposals[0].loc(),
+                round.proposals[1].loc(),
                 round.race.loc(),
             ]
         };
